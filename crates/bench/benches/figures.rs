@@ -20,7 +20,10 @@
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion, Throughput};
 use std::hint::black_box;
 
-use costar::{Budget, Edit, EditSession, MetricsObserver, NullObserver, Parser, TraceObserver};
+use costar::{
+    Budget, CachePolicy, Edit, EditSession, MetricsObserver, NullObserver, Parser, PredictionMode,
+    TraceObserver,
+};
 use costar_baselines::AntlrSim;
 use costar_bench::synthetic_grammar;
 use costar_grammar::analysis::GrammarAnalysis;
@@ -124,7 +127,8 @@ fn ablation_sll_cache(c: &mut Criterion) {
             b.iter(|| adaptive.parse(black_box(&word)))
         });
 
-        let mut ll_only = Parser::with_ll_only(lang.grammar().clone());
+        let mut ll_only = Parser::new(lang.grammar().clone());
+        ll_only.set_prediction_mode(PredictionMode::LlOnly);
         assert!(ll_only.parse(&word).is_accept());
         group.bench_function(BenchmarkId::new("ll_only", lang.name), |b| {
             b.iter(|| ll_only.parse(black_box(&word)))
@@ -150,7 +154,8 @@ fn ablation_cache_reuse(c: &mut Criterion) {
             b.iter(|| words.iter().map(|w| fresh.parse(black_box(w))).count())
         });
 
-        let mut reuse = Parser::with_cache_reuse(lang.grammar().clone());
+        let mut reuse = Parser::new(lang.grammar().clone());
+        reuse.set_cache_policy(CachePolicy::Persistent);
         group.bench_function(BenchmarkId::new("reuse", lang.name), |b| {
             b.iter(|| words.iter().map(|w| reuse.parse(black_box(w))).count())
         });
@@ -194,16 +199,15 @@ fn ablation_budget_overhead(c: &mut Criterion) {
 
         let budget = Budget::derived(lang.grammar(), word.len())
             .with_deadline(std::time::Duration::from_secs(600));
-        let mut governed = Parser::with_budget(lang.grammar().clone(), budget);
+        let mut governed = Parser::new(lang.grammar().clone());
+        governed.set_budget(budget);
         assert!(governed.parse(&word).is_accept());
         group.bench_function(BenchmarkId::new("derived_budget", lang.name), |b| {
             b.iter(|| governed.parse(black_box(&word)))
         });
 
-        let mut capped = Parser::with_budget(
-            lang.grammar().clone(),
-            Budget::unlimited().with_max_cache_entries(64),
-        );
+        let mut capped = Parser::new(lang.grammar().clone());
+        capped.set_budget(Budget::unlimited().with_max_cache_entries(64));
         assert!(capped.parse(&word).is_accept());
         group.bench_function(BenchmarkId::new("cache_cap_64", lang.name), |b| {
             b.iter(|| capped.parse(black_box(&word)))
@@ -231,7 +235,8 @@ fn ablation_static_fast_path(c: &mut Criterion) {
             b.iter(|| fast.parse(black_box(&word)))
         });
 
-        let mut full = Parser::with_no_static_fast_path(lang.grammar().clone());
+        let mut full = Parser::new(lang.grammar().clone());
+        full.set_prediction_mode(PredictionMode::AdaptiveNoStatic);
         assert!(full.parse(&word).is_accept());
         group.bench_function(BenchmarkId::new("no_table", lang.name), |b| {
             b.iter(|| full.parse(black_box(&word)))
@@ -275,7 +280,7 @@ fn ablation_incremental(c: &mut Criterion) {
 fn ablation_observer_overhead(c: &mut Criterion) {
     // Cost of the observability layer per observer flavor. The "null"
     // arms are the ≤2%-overhead acceptance check: `parse` *is*
-    // `parse_observed(&mut NullObserver)`, monomorphized with every hook
+    // `run(word, false, &mut NullObserver)`, monomorphized with every hook
     // an empty inline default, so the two must time identically — any
     // spread between them is measurement noise, and any spread between
     // them and the pre-observer parser is the layer's true cost.
@@ -292,7 +297,7 @@ fn ablation_observer_overhead(c: &mut Criterion) {
             b.iter(|| parser.parse(black_box(&word)))
         });
         group.bench_function(BenchmarkId::new("null", lang.name), |b| {
-            b.iter(|| parser.parse_observed(black_box(&word), &mut NullObserver))
+            b.iter(|| parser.run(black_box(&word), false, &mut NullObserver))
         });
         group.bench_function(BenchmarkId::new("metrics", lang.name), |b| {
             b.iter(|| parser.parse_with_metrics(black_box(&word)))
@@ -300,7 +305,7 @@ fn ablation_observer_overhead(c: &mut Criterion) {
         group.bench_function(BenchmarkId::new("trace", lang.name), |b| {
             b.iter(|| {
                 let mut obs = (MetricsObserver::new(), TraceObserver::new(256));
-                parser.parse_observed(black_box(&word), &mut obs)
+                parser.run(black_box(&word), false, &mut obs)
             })
         });
     }

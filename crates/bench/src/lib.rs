@@ -20,7 +20,9 @@
 
 #![warn(missing_docs)]
 
-use costar::{BatchParser, Edit, EditSession, ParseOutcome, Parser};
+use costar::{
+    BatchParser, CachePolicy, Edit, EditSession, ParseMetrics, ParseOutcome, Parser, PredictionMode,
+};
 use costar_baselines::{earley_parse, AntlrSim};
 use costar_grammar::analysis::{
     parse_cert_json, replay_certificate, to_cert_json, AuditTable, DecisionTable, GrammarAnalysis,
@@ -522,7 +524,8 @@ pub fn prediction_profile(cfg: &Config) -> PredictionProfile {
     let rows = prepare_corpora(cfg)
         .into_iter()
         .map(|c| {
-            let mut parser = Parser::with_cache_reuse(c.lang.grammar().clone());
+            let mut parser = Parser::new(c.lang.grammar().clone());
+            parser.set_cache_policy(CachePolicy::Persistent);
             for w in &c.words {
                 expect_unique(c.lang.name, &parser.parse(w));
             }
@@ -797,8 +800,23 @@ pub fn parse_bench(cfg: &Config) -> ParseBench {
             total_observed += observed_secs;
             total_recovering += recovering_secs;
 
-            // One more observed pass to aggregate the counters (timing
-            // excluded so the throughput numbers above stay clean).
+            // One more observed pass, rolled up with `ParseMetrics::merge`,
+            // feeds the counters (timing excluded so the throughput
+            // numbers above stay clean).
+            let mut total = ParseMetrics::default();
+            let mut reconciles = true;
+            for w in &c.words {
+                let (_, m) = parser.parse_with_metrics(w);
+                reconciles &= m.reconciles();
+                total.merge(&m);
+            }
+            let ratio = |num: u64, den: u64| {
+                if den > 0 {
+                    num as f64 / den as f64
+                } else {
+                    1.0
+                }
+            };
             let mut row = ParseBenchRow {
                 name: c.lang.name,
                 tokens,
@@ -806,62 +824,32 @@ pub fn parse_bench(cfg: &Config) -> ParseBench {
                 observed_tokens_per_sec: tokens as f64 / observed_secs.max(1e-12),
                 observer_overhead: observed_secs / null_secs.max(1e-12),
                 recovery_overhead: recovering_secs / null_secs.max(1e-12),
-                decisions: 0,
-                single_alternative: 0,
-                sll_resolved: 0,
-                failovers: 0,
-                sll_fraction: 1.0,
-                static_fast_path_hits: 0,
-                static_fast_path_fraction: 1.0,
+                decisions: total.decisions,
+                single_alternative: total.single_alternative,
+                sll_resolved: total.sll_resolved,
+                failovers: total.failovers,
+                sll_fraction: ratio(total.sll_resolved, total.sll_resolved + total.failovers),
+                static_fast_path_hits: total.static_fast_path_hits,
+                static_fast_path_fraction: ratio(total.static_fast_path_hits, total.decisions),
                 decision_table_micros: table_secs * 1e6,
                 audit_micros: audit_secs * 1e6,
                 cert_validate_micros: validate_secs * 1e6,
                 cert_speedup: audit_secs / validate_secs.max(1e-12),
-                cache_lookups: 0,
-                cache_hits: 0,
-                cache_hit_rate: 1.0,
-                machine_steps: 0,
-                prediction_steps: 0,
-                meter_steps: 0,
-                predicted_steps: 0,
-                cost_violations: 0,
-                cost_bound_ratio: 0.0,
+                cache_lookups: total.cache_lookups,
+                cache_hits: total.cache_hits,
+                cache_hit_rate: ratio(total.cache_hits, total.cache_lookups),
+                machine_steps: total.machine_steps,
+                prediction_steps: total.prediction_steps,
+                meter_steps: total.meter_steps,
+                predicted_steps: total.predicted_steps,
+                cost_violations: total.cost_violations,
+                cost_bound_ratio: total.cost_bound_ratio(),
                 splice_micros: 0.0,
                 full_relex_micros: 0.0,
                 incremental_speedup: 0.0,
                 incremental_equal: true,
-                reconciles: true,
+                reconciles,
             };
-            for w in &c.words {
-                let (_, m) = parser.parse_with_metrics(w);
-                row.decisions += m.decisions;
-                row.single_alternative += m.single_alternative;
-                row.sll_resolved += m.sll_resolved;
-                row.failovers += m.failovers;
-                row.static_fast_path_hits += m.static_fast_path_hits;
-                row.cache_lookups += m.cache_lookups;
-                row.cache_hits += m.cache_hits;
-                row.machine_steps += m.machine_steps;
-                row.prediction_steps += m.prediction_steps;
-                row.meter_steps += m.meter_steps;
-                row.predicted_steps = row.predicted_steps.saturating_add(m.predicted_steps);
-                row.cost_violations += m.cost_violations;
-                row.reconciles &= m.reconciles();
-            }
-            if row.meter_steps > 0 && row.predicted_steps > 0 {
-                row.cost_bound_ratio = row.predicted_steps as f64 / row.meter_steps as f64;
-            }
-            let decided = row.sll_resolved + row.failovers;
-            if decided > 0 {
-                row.sll_fraction = row.sll_resolved as f64 / decided as f64;
-            }
-            if row.decisions > 0 {
-                row.static_fast_path_fraction =
-                    row.static_fast_path_hits as f64 / row.decisions as f64;
-            }
-            if row.cache_lookups > 0 {
-                row.cache_hit_rate = row.cache_hits as f64 / row.cache_lookups as f64;
-            }
 
             // Incremental-lexing arm: splice a single-token edit into a
             // live session on the largest corpus file vs a full
@@ -1379,7 +1367,8 @@ pub fn ablation_sll_cache(cfg: &Config) -> Ablation {
         .map(|c| {
             let w = c.words.last().expect("nonempty corpus");
             let mut adaptive = Parser::new(c.lang.grammar().clone());
-            let mut ll_only = Parser::with_ll_only(c.lang.grammar().clone());
+            let mut ll_only = Parser::new(c.lang.grammar().clone());
+            ll_only.set_prediction_mode(PredictionMode::LlOnly);
             expect_unique(c.lang.name, &adaptive.parse(w));
             assert_eq!(
                 adaptive.parse(w),
@@ -1412,7 +1401,8 @@ pub fn ablation_static_fast_path(cfg: &Config) -> Ablation {
         .map(|c| {
             let w = c.words.last().expect("nonempty corpus");
             let mut fast = Parser::new(c.lang.grammar().clone());
-            let mut full = Parser::with_no_static_fast_path(c.lang.grammar().clone());
+            let mut full = Parser::new(c.lang.grammar().clone());
+            full.set_prediction_mode(PredictionMode::AdaptiveNoStatic);
             expect_unique(c.lang.name, &fast.parse(w));
             assert_eq!(
                 fast.parse(w),
@@ -1526,7 +1516,8 @@ pub fn ablation_cache_reuse(cfg: &Config) -> Ablation {
                 .map(|s| lang.tokenize(s).expect("corpus lexes"))
                 .collect();
             let mut fresh = Parser::new(lang.grammar().clone());
-            let mut reuse = Parser::with_cache_reuse(lang.grammar().clone());
+            let mut reuse = Parser::new(lang.grammar().clone());
+            reuse.set_cache_policy(CachePolicy::Persistent);
             for w in &words {
                 assert_eq!(
                     fresh.parse(w),

@@ -66,7 +66,7 @@
 //! accept — a bounded post-mortem of what the machine was doing.
 
 use costar::{
-    BatchItemResult, BatchParser, Budget, Edit, EditError, MetricsObserver, ParseOutcome, Parser,
+    BatchItemResult, BatchParser, Budget, Edit, EditError, NullObserver, ParseOutcome, Parser,
     TraceObserver,
 };
 use costar_baselines::Ll1Parser;
@@ -121,10 +121,9 @@ fn run(args: Args) -> Result<ExitCode, String> {
             warm_cache,
         } => {
             let mut budget = Budget::unlimited();
-            let mut auto_steps = false;
             match max_steps {
                 Some(MaxSteps::Fixed(n)) => budget = budget.with_max_steps(n),
-                Some(MaxSteps::Auto) => auto_steps = true,
+                Some(MaxSteps::Auto) => budget = budget.with_auto_steps(),
                 None => {}
             }
             if let Some(ms) = deadline_ms {
@@ -149,7 +148,6 @@ fn run(args: Args) -> Result<ExitCode, String> {
                     no_grammar_cache,
                     jobs,
                     warm_cache,
-                    auto_steps,
                 },
             )
         }
@@ -307,13 +305,16 @@ struct ParseOpts {
     no_grammar_cache: bool,
     jobs: Option<usize>,
     warm_cache: bool,
-    auto_steps: bool,
 }
 
+/// The single-file arm of `costar parse`. Plain and `--recover` parses
+/// share one driver call; they differ only in how the result is reported:
+/// a recovering parse prints one stderr diagnostic per recovered error
+/// and exits 4 when the input parsed with errors.
 fn cmd_parse(
     source: GrammarSource,
     inputs: Vec<String>,
-    mut budget: Budget,
+    budget: Budget,
     opts: ParseOpts,
 ) -> Result<ExitCode, String> {
     let (grammar, mut words, names, cache_dir) = load_many(source, inputs)?;
@@ -322,9 +323,6 @@ fn cmd_parse(
         return cmd_parse_batch(grammar, analysis, &names, &words, budget, &opts);
     }
     let tokens = words.pop().unwrap_or_default();
-    if opts.auto_steps {
-        budget = budget.with_max_steps(analysis.cost.bound_for(tokens.len() as u64));
-    }
     let ParseOpts {
         tree,
         stats,
@@ -341,104 +339,101 @@ fn cmd_parse(
              (try `costar check --eliminate-lr`)"
         );
     }
-    if recover != RecoverMode::Off {
-        return cmd_parse_recovering(parser, &tokens, tree, stats, time, trace_buffer, recover);
-    }
+    let recovering = recover != RecoverMode::Off;
 
     // The default path stays on the monomorphized no-op observer; metrics
     // and tracing are only wired in when a flag asks for them.
     let observing = stats != StatsMode::Off || trace_buffer.is_some();
-    let mut metrics = None;
-    let mut trace = None;
     let start = Instant::now();
-    let outcome = if observing {
-        let mut obs = (
-            MetricsObserver::new(),
-            TraceObserver::new(trace_buffer.unwrap_or(0)),
-        );
-        let outcome = parser.parse_observed(&tokens, &mut obs);
-        let (mobs, tobs) = obs;
-        metrics = Some(mobs.into_metrics());
-        trace = Some(tobs);
-        outcome
+    let (recovered, metrics, trace) = if observing {
+        let trace = TraceObserver::new(trace_buffer.unwrap_or(0));
+        let (recovered, metrics, trace) = parser.run_measured(&tokens, recovering, trace);
+        (recovered, Some(metrics), Some(trace))
     } else {
-        parser.parse(&tokens)
+        let recovered = parser.run(&tokens, recovering, &mut NullObserver);
+        (recovered, None, None)
     };
     let elapsed = start.elapsed();
-    if let Some(m) = metrics.as_mut() {
-        m.tokens = tokens.len();
-        m.total_nanos = elapsed.as_nanos() as u64;
+    let g = parser.grammar();
+
+    // Human-readable diagnostics always go to stderr, one line per
+    // recovered error, so they compose with --tree / JSON on stdout.
+    for d in &recovered.diagnostics {
+        eprintln!("error: {}", render::describe_diagnostic(g, d));
     }
-
-    // With `--stats=json` stdout carries the JSON report, so the human
-    // verdict line moves to stderr.
-    let json_mode = stats == StatsMode::Json;
-    let verdict = |line: String| {
-        if json_mode {
-            eprintln!("{line}");
-        } else {
-            println!("{line}");
-        }
-    };
-
-    let code = match &outcome {
-        ParseOutcome::Unique(t) => {
-            verdict(format!(
-                "unique parse ({} tokens, {} tree nodes)",
-                tokens.len(),
+    let n = tokens.len();
+    let (line, code) = match (&recovered.outcome, recovering) {
+        (ParseOutcome::Unique(_) | ParseOutcome::Ambig(_), true) => (
+            format!("parsed cleanly ({n} tokens, no recovery needed)"),
+            ExitCode::SUCCESS,
+        ),
+        (ParseOutcome::Unique(t), false) => (
+            format!("unique parse ({n} tokens, {} tree nodes)", t.size()),
+            ExitCode::SUCCESS,
+        ),
+        (ParseOutcome::Ambig(t), false) => (
+            format!(
+                "AMBIGUOUS input ({n} tokens); one of its parse trees has {} nodes",
                 t.size()
-            ));
-            if tree {
-                print!("{}", t.render(parser.grammar().symbols()));
-            }
-            ExitCode::SUCCESS
+            ),
+            ExitCode::SUCCESS,
+        ),
+        (ParseOutcome::Reject(_), true) => {
+            let errors = recovered.diagnostics.len();
+            let skipped: usize = recovered.diagnostics.iter().map(|d| d.skipped).sum();
+            (
+                format!(
+                    "parsed with {errors} syntax error{} ({n} tokens, {skipped} skipped)",
+                    if errors == 1 { "" } else { "s" }
+                ),
+                ExitCode::from(4),
+            )
         }
-        ParseOutcome::Ambig(t) => {
-            verdict(format!(
-                "AMBIGUOUS input ({} tokens); one of its parse trees has {} nodes",
-                tokens.len(),
-                t.size()
-            ));
-            if tree {
-                print!("{}", t.render(parser.grammar().symbols()));
-            }
-            ExitCode::SUCCESS
-        }
-        ParseOutcome::Reject(reason) => {
-            verdict(format!(
-                "reject: {}",
-                render::describe_reject(parser.grammar(), reason)
-            ));
-            ExitCode::FAILURE
-        }
-        ParseOutcome::Error(e) => {
-            verdict(format!(
-                "error: {}",
-                render::describe_error(parser.grammar(), e)
-            ));
-            ExitCode::FAILURE
-        }
-        ParseOutcome::Aborted(r) => {
-            verdict(format!(
+        (ParseOutcome::Reject(reason), false) => (
+            format!("reject: {}", render::describe_reject(g, reason)),
+            ExitCode::FAILURE,
+        ),
+        (ParseOutcome::Error(e), _) => (
+            format!("error: {}", render::describe_error(g, e)),
+            ExitCode::FAILURE,
+        ),
+        (ParseOutcome::Aborted(r), true) => (
+            format!("aborted: {r} — recovery gave up before resolving the input"),
+            ExitCode::from(3),
+        ),
+        (ParseOutcome::Aborted(r), false) => (
+            format!(
                 "aborted: {r} — input neither accepted nor rejected \
                  (raise --max-steps/--deadline-ms to resolve it)"
-            ));
-            ExitCode::from(3)
-        }
+            ),
+            ExitCode::from(3),
+        ),
     };
+    // The verdict line goes to stdout, except under `--recover` (status
+    // lines on stderr) and `--stats=json` (stdout carries the report).
+    if recovering || stats == StatsMode::Json {
+        eprintln!("{line}");
+    } else {
+        println!("{line}");
+    }
+    if tree {
+        if let Some(t) = recovered.tree() {
+            print!("{}", t.render(g.symbols()));
+        }
+    }
 
     // Post-mortem trace: only when a buffer was requested and the parse
-    // did not accept.
-    if trace_buffer.is_some()
-        && !matches!(outcome, ParseOutcome::Unique(_) | ParseOutcome::Ambig(_))
-    {
-        if let Some(t) = &trace {
-            eprintln!("trace: last {} of {} events:", t.len(), t.total_events());
-            eprint!("{}", t.dump(Some(parser.grammar().symbols())));
-        }
+    // did not accept cleanly.
+    if let (Some(t), Some(_), false) = (&trace, trace_buffer, recovered.is_clean()) {
+        eprintln!("trace: last {} of {} events:", t.len(), t.total_events());
+        eprint!("{}", t.dump(Some(g.symbols())));
     }
 
     match (stats, metrics.as_ref()) {
+        (StatsMode::Human, Some(m)) if recovering => eprintln!(
+            "recovery: {} recoveries, {} tokens skipped; steps: {} machine + {} prediction",
+            m.recoveries, m.tokens_skipped, m.machine_steps, m.prediction_steps
+        ),
         (StatsMode::Human, Some(m)) => {
             let s = parser.prediction_stats();
             eprintln!(
@@ -472,119 +467,14 @@ fn cmd_parse(
                 m.cache_evictions
             );
         }
-        (StatsMode::Json, Some(m)) => println!("{}", m.to_json()),
         _ => {}
-    }
-    if time {
-        let secs = elapsed.as_secs_f64();
-        eprintln!(
-            "parse time: {:.3} ms ({:.0} tokens/sec)",
-            secs * 1e3,
-            tokens.len() as f64 / secs.max(1e-12)
-        );
-    }
-    Ok(code)
-}
-
-/// The `--recover` arm of `costar parse`: parse past syntax errors,
-/// report every diagnostic, and exit 4 when the input parsed with errors.
-#[allow(clippy::too_many_arguments)]
-fn cmd_parse_recovering(
-    mut parser: Parser,
-    tokens: &[Token],
-    tree: bool,
-    stats: StatsMode,
-    time: bool,
-    trace_buffer: Option<usize>,
-    mode: RecoverMode,
-) -> Result<ExitCode, String> {
-    let observing = stats != StatsMode::Off || trace_buffer.is_some();
-    let mut metrics = None;
-    let mut trace = None;
-    let start = Instant::now();
-    let recovered = if observing {
-        let mut obs = (
-            MetricsObserver::new(),
-            TraceObserver::new(trace_buffer.unwrap_or(0)),
-        );
-        let r = parser.parse_recovering_observed(tokens, &mut obs);
-        let (mobs, tobs) = obs;
-        metrics = Some(mobs.into_metrics());
-        trace = Some(tobs);
-        r
-    } else {
-        parser.parse_recovering(tokens)
-    };
-    let elapsed = start.elapsed();
-    if let Some(m) = metrics.as_mut() {
-        m.tokens = tokens.len();
-        m.total_nanos = elapsed.as_nanos() as u64;
-    }
-
-    // Human-readable diagnostics always go to stderr, one line per
-    // recovered error, so they compose with --tree / JSON on stdout.
-    for d in &recovered.diagnostics {
-        eprintln!(
-            "error: {}",
-            render::describe_diagnostic(parser.grammar(), d)
-        );
-    }
-    // JSON reporting is deferred to the end of the function so that
-    // `--recover=json` and `--stats=json` can merge into one top-level
-    // document — two independent prints would interleave into invalid
-    // JSON on stdout.
-    let recovery_json = (mode == RecoverMode::Json)
-        .then(|| render::recovery_report_json(parser.grammar(), &recovered, tokens.len()));
-
-    let errors = recovered.diagnostics.len();
-    let code = match &recovered.outcome {
-        ParseOutcome::Unique(_) | ParseOutcome::Ambig(_) => {
-            eprintln!(
-                "parsed cleanly ({} tokens, no recovery needed)",
-                tokens.len()
-            );
-            ExitCode::SUCCESS
-        }
-        ParseOutcome::Reject(_) => {
-            let skipped: usize = recovered.diagnostics.iter().map(|d| d.skipped).sum();
-            eprintln!(
-                "parsed with {errors} syntax error{} ({} tokens, {skipped} skipped)",
-                if errors == 1 { "" } else { "s" },
-                tokens.len()
-            );
-            ExitCode::from(4)
-        }
-        ParseOutcome::Error(e) => {
-            eprintln!("error: {}", render::describe_error(parser.grammar(), e));
-            ExitCode::FAILURE
-        }
-        ParseOutcome::Aborted(r) => {
-            eprintln!("aborted: {r} — recovery gave up before resolving the input");
-            ExitCode::from(3)
-        }
-    };
-    if tree {
-        if let Some(t) = recovered.tree() {
-            print!("{}", t.render(parser.grammar().symbols()));
-        }
-    }
-
-    if trace_buffer.is_some() && !recovered.is_clean() {
-        if let Some(t) = &trace {
-            eprintln!("trace: last {} of {} events:", t.len(), t.total_events());
-            eprint!("{}", t.dump(Some(parser.grammar().symbols())));
-        }
-    }
-    if let (StatsMode::Human, Some(m)) = (stats, metrics.as_ref()) {
-        eprintln!(
-            "recovery: {} recoveries, {} tokens skipped; steps: {} machine + {} prediction",
-            m.recoveries, m.tokens_skipped, m.machine_steps, m.prediction_steps
-        );
     }
     let stats_json = match (stats, metrics.as_ref()) {
         (StatsMode::Json, Some(m)) => Some(m.to_json()),
         _ => None,
     };
+    let recovery_json =
+        (recover == RecoverMode::Json).then(|| render::recovery_report_json(g, &recovered, n));
     // One JSON document per invocation, whatever combination was asked
     // for: `{"stats":...,"recovery":...}` when both, the bare object
     // when only one (preserving each flag's standalone output shape).
@@ -599,7 +489,7 @@ fn cmd_parse_recovering(
         eprintln!(
             "parse time: {:.3} ms ({:.0} tokens/sec)",
             secs * 1e3,
-            tokens.len() as f64 / secs.max(1e-12)
+            n as f64 / secs.max(1e-12)
         );
     }
     Ok(code)
@@ -621,14 +511,10 @@ fn cmd_parse_batch(
     budget: Budget,
     opts: &ParseOpts,
 ) -> Result<ExitCode, String> {
-    if opts.trace_buffer.is_some() {
-        return Err("--trace-buffer applies to single-file parses only".into());
-    }
     let batch = BatchParser::with_shared(Arc::new(grammar), Arc::new(analysis))
         .with_budget(budget)
         .with_jobs(opts.jobs.unwrap_or(0))
-        .with_warm_cache(opts.warm_cache)
-        .with_auto_steps(opts.auto_steps);
+        .with_warm_cache(opts.warm_cache);
     if !batch.analysis().left_recursion.is_grammar_safe() {
         eprintln!(
             "warning: grammar is left-recursive; the correctness theorems do not apply \

@@ -509,6 +509,51 @@ fn max_steps_auto_derives_fuel_from_the_cost_certificate() {
 }
 
 #[test]
+fn recover_checks_the_cost_certificate_on_valid_input() {
+    // A recovering parse of a valid file takes the plain parse's steps,
+    // so it must run (and pass) the same cost-certificate check.
+    let path = tmp_file("recover-cost", r#"{ "a": [1, 2], "b": true }"#);
+    let field = |stdout: &str, name: &str| {
+        let key = format!("\"{name}\":");
+        let at = stdout
+            .find(&key)
+            .unwrap_or_else(|| panic!("{name} in {stdout}"))
+            + key.len();
+        stdout[at..]
+            .split(|c: char| !c.is_ascii_digit())
+            .next()
+            .map(str::to_owned)
+            .unwrap_or_default()
+    };
+    let mut reports = Vec::new();
+    for recover in [false, true] {
+        let mut cmd = costar();
+        cmd.args(["parse", "--lang", "json"])
+            .arg(&path)
+            .arg("--stats=json");
+        if recover {
+            cmd.arg("--recover");
+        }
+        let out = cmd.output().expect("spawn");
+        let stdout = String::from_utf8(out.stdout).expect("utf8");
+        assert!(out.status.success(), "recover={recover}: {stdout}");
+        assert_eq!(
+            field(&stdout, "cost_checks"),
+            "1",
+            "recover={recover}: {stdout}"
+        );
+        assert_eq!(field(&stdout, "cost_violations"), "0", "{stdout}");
+        reports.push((
+            field(&stdout, "predicted_steps"),
+            field(&stdout, "meter_steps"),
+        ));
+    }
+    assert_ne!(reports[0].0, "0", "{reports:?}");
+    assert_eq!(reports[0], reports[1], "plain vs --recover");
+    let _ = std::fs::remove_file(path);
+}
+
+#[test]
 fn edit_replays_a_script_incrementally() {
     let src = tmp_file("edit-src", "[1, 2, 3]");
     // Edit 0 replaces the `2` token; edit 1 swaps a space for a tab —

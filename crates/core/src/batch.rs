@@ -1,14 +1,14 @@
 //! Batch parsing: many inputs, one shared read-only grammar context.
 //!
 //! The ROADMAP's production north star is corpus-shaped traffic — many
-//! independent inputs against one grammar. A [`Parser`](crate::Parser)
-//! owns its grammar and analysis by value, so naive fan-out pays the
-//! FIRST/FOLLOW/decision-table computation (or at least a deep clone) per
-//! worker. [`BatchParser`] instead wraps `Arc<Grammar>` +
-//! `Arc<GrammarAnalysis>` (the analysis carries the
-//! [`DecisionTable`](costar_grammar::analysis::DecisionTable)) as an
-//! immutable shared context: workers borrow it, each owning only a
-//! private [`SllCache`].
+//! independent inputs against one grammar. [`BatchParser`] wraps one
+//! [`Parser`] whose grammar and analysis (the latter carrying the
+//! [`DecisionTable`](costar_grammar::analysis::DecisionTable)) sit behind
+//! `Arc`s: each worker is a clone of that parser, sharing the immutable
+//! context and owning only a private [`SllCache`]. Every
+//! input therefore runs through the same driver as a sequential parse
+//! ([`Parser::run`]) — budget, cache policy, panic boundary, step loop
+//! and metrics stamp included.
 //!
 //! ## Determinism contract
 //!
@@ -22,8 +22,9 @@
 //!
 //! * every input starts from the same cache state: empty by default, or
 //!   (in warm mode, [`BatchParser::with_warm_cache`]) a private clone of
-//!   one snapshot taken after a warmup parse — never a cache that other
-//!   inputs mutated in a schedule-dependent order;
+//!   one snapshot taken after a warmup parse
+//!   ([`CachePolicy::Snapshot`]) — never a cache that other inputs
+//!   mutated in a schedule-dependent order;
 //! * every input draws from its own fresh [`Budget`] meter, so fuel and
 //!   the wall-clock deadline are per parse (see
 //!   [`Budget::with_deadline`]), not shared from batch start;
@@ -37,28 +38,28 @@
 //!
 //! Work units are claimed from a shared atomic counter (dynamic load
 //! balancing — a worker stuck on a pathological input doesn't idle the
-//! rest). Inputs at or above the small-input threshold form singleton
-//! units; runs of smaller inputs are grouped so per-unit overhead (the
-//! claim, the cache reset bookkeeping, result vector growth) amortizes
-//! across a group rather than recurring per tiny file.
+//! rest); with one job the calling thread parses everything. Inputs of
+//! at least [`DEFAULT_SMALL_INPUT_THRESHOLD`] tokens form singleton units;
+//! runs of smaller inputs are grouped so per-unit overhead (the claim,
+//! result vector growth) amortizes across a group rather than recurring
+//! per tiny file.
 
 #![warn(clippy::disallowed_methods, clippy::disallowed_macros)]
 
 use crate::budget::Budget;
 use crate::error::ParseError;
-use crate::machine::{Machine, ParseOutcome, PredictionMode};
-use crate::observe::{MetricsObserver, ParseMetrics};
+use crate::machine::ParseOutcome;
+use crate::observe::{NullObserver, ParseMetrics};
+use crate::parser::{CachePolicy, Parser};
 use crate::prediction::cache::SllCache;
-use crate::recover::{self, RecoveredParse};
+use crate::recover::RecoveredParse;
 use costar_grammar::analysis::GrammarAnalysis;
 use costar_grammar::{Grammar, Token, Tree};
-use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Arc;
-use std::time::Instant;
 
 /// Inputs with at least this many tokens get their own work unit;
-/// smaller ones are grouped (see [`BatchParser::with_small_input_threshold`]).
+/// smaller ones are grouped.
 pub const DEFAULT_SMALL_INPUT_THRESHOLD: usize = 256;
 
 /// Upper bound on how many small inputs one work unit may group.
@@ -96,14 +97,9 @@ const MAX_GROUP: usize = 64;
 /// ```
 #[derive(Debug, Clone)]
 pub struct BatchParser {
-    grammar: Arc<Grammar>,
-    analysis: Arc<GrammarAnalysis>,
-    budget: Budget,
-    mode: PredictionMode,
+    parser: Parser,
     jobs: usize,
     warm_cache: bool,
-    auto_steps: bool,
-    small_input_threshold: usize,
 }
 
 /// What one input produced: a plain or a recovering parse result.
@@ -205,8 +201,7 @@ impl BatchParser {
     /// per input (published CoStar's policy, see
     /// [`Parser::new`](crate::Parser::new)).
     pub fn new(grammar: Grammar) -> Self {
-        let analysis = GrammarAnalysis::compute(&grammar);
-        Self::with_shared(Arc::new(grammar), Arc::new(analysis))
+        Self::from_parser(Parser::new(grammar))
     }
 
     /// Creates a batch parser around an already-shared context — e.g. an
@@ -214,15 +209,14 @@ impl BatchParser {
     /// [`Parser::with_analysis`](crate::Parser::with_analysis), the
     /// analysis must belong to this exact grammar.
     pub fn with_shared(grammar: Arc<Grammar>, analysis: Arc<GrammarAnalysis>) -> Self {
+        Self::from_parser(Parser::with_analysis(grammar, analysis))
+    }
+
+    fn from_parser(parser: Parser) -> Self {
         BatchParser {
-            grammar,
-            analysis,
-            budget: Budget::unlimited(),
-            mode: PredictionMode::Adaptive,
+            parser,
             jobs: default_jobs(),
             warm_cache: false,
-            auto_steps: false,
-            small_input_threshold: DEFAULT_SMALL_INPUT_THRESHOLD,
         }
     }
 
@@ -235,66 +229,35 @@ impl BatchParser {
     }
 
     /// Sets the per-input [`Budget`]. Every input draws from its own
-    /// fresh meter — fuel, deadline, and recovery caps are per parse,
-    /// never shared across the batch.
+    /// fresh meter — fuel (fixed, or per-input under
+    /// [`Budget::with_auto_steps`]), deadline, and recovery caps are per
+    /// parse, never shared across the batch.
     pub fn with_budget(mut self, budget: Budget) -> Self {
-        self.budget = budget;
-        self
-    }
-
-    /// Sets the [`PredictionMode`] (ablation control, mirroring
-    /// [`Parser::with_ll_only`](crate::Parser::with_ll_only) /
-    /// [`Parser::with_no_static_fast_path`](crate::Parser::with_no_static_fast_path)).
-    pub fn with_mode(mut self, mode: PredictionMode) -> Self {
-        self.mode = mode;
-        self
-    }
-
-    /// Derives each input's step fuel from the grammar's certified cost
-    /// bound instead of a shared `--max-steps` value: input `i` with
-    /// `n_i` tokens parses under fuel
-    /// [`CostModel::bound_for(n_i)`](costar_grammar::analysis::CostModel::bound_for),
-    /// overriding any fuel set via [`BatchParser::with_budget`] (other
-    /// budget limits — deadline, stack depth, cache caps — are kept).
-    /// Because the certificate claims no accepting or rejecting parse
-    /// exceeds the bound, a `StepLimit` abort under auto fuel is evidence
-    /// of a parser or certificate bug, never of a large input — and one
-    /// long file can never inflate a sibling input's allowance, since
-    /// every input's fuel is derived from its own length.
-    pub fn with_auto_steps(mut self, on: bool) -> Self {
-        self.auto_steps = on;
+        self.parser.set_budget(budget);
         self
     }
 
     /// Enables warm-cache mode: before the batch runs, one warmup parse
-    /// of the first input populates an [`SllCache`], a snapshot of which
-    /// every input then starts from (each gets a private clone). This is
-    /// the deterministic analogue of
-    /// [`Parser::with_cache_reuse`](crate::Parser::with_cache_reuse):
-    /// cross-input cache value without schedule-dependent cache state.
-    /// The warmup parse's own result is discarded, so all inputs —
-    /// including the first — observe the identical starting cache.
+    /// of the first input populates a prediction cache, a snapshot of
+    /// which every input then starts from (each gets a private clone, see
+    /// [`CachePolicy::Snapshot`]). This is the deterministic analogue of
+    /// [`CachePolicy::Persistent`]: cross-input cache value without
+    /// schedule-dependent cache state. The warmup parse's own result is
+    /// discarded, so all inputs — including the first — observe the
+    /// identical starting cache.
     pub fn with_warm_cache(mut self, on: bool) -> Self {
         self.warm_cache = on;
         self
     }
 
-    /// Sets the token-count threshold under which inputs are grouped
-    /// into shared work units (default
-    /// [`DEFAULT_SMALL_INPUT_THRESHOLD`]). `0` disables grouping.
-    pub fn with_small_input_threshold(mut self, tokens: usize) -> Self {
-        self.small_input_threshold = tokens;
-        self
-    }
-
     /// The shared grammar.
     pub fn grammar(&self) -> &Grammar {
-        &self.grammar
+        self.parser.grammar()
     }
 
     /// The shared analysis.
     pub fn analysis(&self) -> &GrammarAnalysis {
-        &self.analysis
+        self.parser.analysis()
     }
 
     /// The configured worker count (before capping by unit count).
@@ -314,68 +277,66 @@ impl BatchParser {
         self.run(inputs, true)
     }
 
-    fn run<I: AsRef<[Token]> + Sync>(&self, inputs: &[I], recovering: bool) -> BatchResult {
-        let units = plan_units(inputs, self.small_input_threshold);
+    fn run<I: AsRef<[Token]> + Sync>(&self, inputs: &[I], recover: bool) -> BatchResult {
+        let units = plan_units(inputs);
         let jobs = self.jobs.min(units.len()).max(1);
-        let warm = if self.warm_cache {
-            inputs
-                .first()
-                .map(|first| self.warm_snapshot(first.as_ref()))
-        } else {
-            None
-        };
-        let warm = warm.as_ref();
+        let mut first_worker = self.parser.clone();
+        // Workers grow their caches on demand rather than keeping the
+        // audit-sized reservation: one input fills little of it, yet its
+        // scattered inserts would make the whole table resident per worker.
+        first_worker.cache = SllCache::new();
+        if let (true, Some(first)) = (self.warm_cache, inputs.first()) {
+            // A panicking warmup leaves the cache cleared, so the batch
+            // falls back to cold starts (correctness never depended on
+            // cache content).
+            first_worker.run(first.as_ref(), false, &mut NullObserver);
+            let snapshot = std::mem::take(&mut first_worker.cache);
+            first_worker.policy = CachePolicy::Snapshot(Arc::new(snapshot));
+        }
 
-        let mut slots: Vec<Option<BatchItem>> = Vec::new();
-        slots.resize_with(inputs.len(), || None);
-
-        if jobs == 1 {
-            let mut cache = SllCache::new();
-            for unit in &units {
+        let next = AtomicUsize::new(0);
+        let work = |mut parser: Parser| {
+            let mut out: Vec<(usize, BatchItem)> = Vec::new();
+            while let Some(unit) = units.get(next.fetch_add(1, Ordering::Relaxed)) {
                 for &i in unit {
-                    slots[i] =
-                        Some(self.parse_one(inputs[i].as_ref(), &mut cache, warm, recovering));
+                    let (parsed, metrics, _) =
+                        parser.run_measured(inputs[i].as_ref(), recover, NullObserver);
+                    let result = if recover {
+                        BatchItemResult::Recovered(parsed)
+                    } else {
+                        BatchItemResult::Plain(parsed.outcome)
+                    };
+                    out.push((i, BatchItem { result, metrics }));
                 }
             }
+            out
+        };
+        let work = &work;
+        let collected: Vec<(usize, BatchItem)> = if jobs == 1 {
+            work(first_worker)
         } else {
-            let next = AtomicUsize::new(0);
-            let units = &units;
-            let collected: Vec<Vec<(usize, BatchItem)>> = std::thread::scope(|s| {
+            std::thread::scope(|s| {
                 let handles: Vec<_> = (0..jobs)
                     .map(|_| {
-                        s.spawn(|| {
-                            let mut cache = SllCache::new();
-                            let mut out: Vec<(usize, BatchItem)> = Vec::new();
-                            loop {
-                                let u = next.fetch_add(1, Ordering::Relaxed);
-                                let Some(unit) = units.get(u) else { break };
-                                for &i in unit {
-                                    let item = self.parse_one(
-                                        inputs[i].as_ref(),
-                                        &mut cache,
-                                        warm,
-                                        recovering,
-                                    );
-                                    out.push((i, item));
-                                }
-                            }
-                            out
-                        })
+                        let parser = first_worker.clone();
+                        s.spawn(move || work(parser))
                     })
                     .collect();
                 handles
                     .into_iter()
-                    .map(|h| h.join().unwrap_or_default())
+                    .flat_map(|h| h.join().unwrap_or_default())
                     .collect()
-            });
-            for (i, item) in collected.into_iter().flatten() {
-                slots[i] = Some(item);
-            }
-        }
+            })
+        };
 
-        // Per-parse panics are caught inside parse_one; an empty slot can
-        // only mean a worker died outside that boundary. Fail the input
-        // loudly rather than dropping it from the batch.
+        let mut slots: Vec<Option<BatchItem>> = Vec::new();
+        slots.resize_with(inputs.len(), || None);
+        for (i, item) in collected {
+            slots[i] = Some(item);
+        }
+        // Per-parse panics are caught inside the parser's driver; an empty
+        // slot can only mean a worker died outside that boundary. Fail the
+        // input loudly rather than dropping it from the batch.
         let items: Vec<BatchItem> = slots
             .into_iter()
             .map(|slot| {
@@ -384,7 +345,7 @@ impl BatchParser {
                         "batch worker died before producing a result".to_owned(),
                     ));
                     BatchItem {
-                        result: if recovering {
+                        result: if recover {
                             BatchItemResult::Recovered(RecoveredParse {
                                 error_tree: None,
                                 diagnostics: Vec::new(),
@@ -409,118 +370,6 @@ impl BatchParser {
             jobs,
         }
     }
-
-    /// Runs the warmup parse for warm-cache mode and returns the cache
-    /// to snapshot. The result is discarded (see
-    /// [`BatchParser::with_warm_cache`]).
-    fn warm_snapshot(&self, word: &[Token]) -> SllCache {
-        let budget = self.effective_budget(word);
-        let mut cache = SllCache::new();
-        cache.set_capacity(budget.max_cache_entries(), budget.max_cache_bytes());
-        let result = catch_unwind(AssertUnwindSafe(|| {
-            let mut scratch = std::mem::take(&mut cache);
-            let outcome =
-                Machine::with_budget(&self.grammar, &self.analysis, word, self.mode, &budget)
-                    .run(&mut scratch);
-            (scratch, outcome)
-        }));
-        match result {
-            Ok((scratch, _outcome)) => scratch,
-            // A panicking warmup must not poison the batch: fall back to
-            // cold caches (correctness never depended on cache content).
-            Err(_) => SllCache::new(),
-        }
-    }
-
-    /// One budgeted, observed, panic-safe parse — the batch-worker
-    /// counterpart of [`Parser::parse_observed`](crate::Parser::parse_observed)
-    /// / [`Parser::parse_recovering_observed`](crate::Parser::parse_recovering_observed).
-    /// The caller's cache is reset to the input's defined starting state
-    /// (warm snapshot clone, or empty) so results are independent of
-    /// what the worker parsed before.
-    fn parse_one(
-        &self,
-        word: &[Token],
-        cache: &mut SllCache,
-        warm: Option<&SllCache>,
-        recovering: bool,
-    ) -> BatchItem {
-        let budget = self.effective_budget(word);
-        match warm {
-            Some(snapshot) => cache.clone_from(snapshot),
-            None => cache.clear(),
-        }
-        cache.set_capacity(budget.max_cache_entries(), budget.max_cache_bytes());
-        let mut obs = MetricsObserver::new();
-        let start = Instant::now();
-        let result = if recovering {
-            let caught = catch_unwind(AssertUnwindSafe(|| {
-                let machine =
-                    Machine::with_budget(&self.grammar, &self.analysis, word, self.mode, &budget);
-                recover::run_recovering(
-                    &self.analysis,
-                    machine,
-                    cache,
-                    &mut obs,
-                    budget.max_recoveries(),
-                )
-            }));
-            match caught {
-                Ok(recovered) => BatchItemResult::Recovered(recovered),
-                Err(payload) => {
-                    cache.clear();
-                    BatchItemResult::Recovered(RecoveredParse {
-                        error_tree: None,
-                        diagnostics: Vec::new(),
-                        outcome: panic_outcome(payload),
-                    })
-                }
-            }
-        } else {
-            let caught = catch_unwind(AssertUnwindSafe(|| {
-                Machine::with_budget(&self.grammar, &self.analysis, word, self.mode, &budget)
-                    .run_observed(cache, &mut obs)
-            }));
-            match caught {
-                Ok(outcome) => BatchItemResult::Plain(outcome),
-                Err(payload) => {
-                    cache.clear();
-                    BatchItemResult::Plain(panic_outcome(payload))
-                }
-            }
-        };
-        let mut metrics = obs.into_metrics();
-        metrics.total_nanos = u64::try_from(start.elapsed().as_nanos()).unwrap_or(u64::MAX);
-        metrics.tokens = word.len();
-        BatchItem { result, metrics }
-    }
-
-    /// The budget one input actually parses under: the configured budget,
-    /// with step fuel replaced by the certified per-input bound when
-    /// auto-steps mode ([`BatchParser::with_auto_steps`]) is on.
-    fn effective_budget(&self, word: &[Token]) -> Budget {
-        if self.auto_steps {
-            self.budget
-                .with_max_steps(self.analysis.cost.bound_for(word.len() as u64))
-        } else {
-            self.budget
-        }
-    }
-}
-
-/// Maps a caught panic payload to the same typed outcome
-/// [`Parser::parse`](crate::Parser::parse) produces.
-fn panic_outcome(payload: Box<dyn std::any::Any + Send>) -> ParseOutcome {
-    let msg: &str = if let Some(s) = payload.downcast_ref::<&str>() {
-        s
-    } else if let Some(s) = payload.downcast_ref::<String>() {
-        s.as_str()
-    } else {
-        "non-string panic payload"
-    };
-    ParseOutcome::Error(ParseError::invalid_state(format!(
-        "panic during parse: {msg}"
-    )))
 }
 
 /// The default worker count: the machine's available parallelism.
@@ -530,15 +379,16 @@ fn default_jobs() -> usize {
         .unwrap_or(1)
 }
 
-/// Partitions input indices into work units: singletons for inputs at or
-/// above `threshold` tokens, runs of consecutive smaller inputs grouped
-/// up to [`MAX_GROUP`]. Grouping affects scheduling granularity only —
-/// never results, which are defined per input.
-fn plan_units<I: AsRef<[Token]>>(inputs: &[I], threshold: usize) -> Vec<Vec<usize>> {
+/// Partitions input indices into work units: singletons for inputs of at
+/// least [`DEFAULT_SMALL_INPUT_THRESHOLD`] tokens, runs of consecutive
+/// smaller inputs grouped up to [`MAX_GROUP`]. Grouping affects
+/// scheduling granularity only — never results, which are defined per
+/// input.
+fn plan_units<I: AsRef<[Token]>>(inputs: &[I]) -> Vec<Vec<usize>> {
     let mut units: Vec<Vec<usize>> = Vec::new();
     let mut group: Vec<usize> = Vec::new();
     for (i, input) in inputs.iter().enumerate() {
-        if threshold > 0 && input.as_ref().len() < threshold {
+        if input.as_ref().len() < DEFAULT_SMALL_INPUT_THRESHOLD {
             group.push(i);
             if group.len() >= MAX_GROUP {
                 units.push(std::mem::take(&mut group));
@@ -739,20 +589,16 @@ mod tests {
         big_word.push(("c", "c"));
         let big = tokens(&mut tab, &big_word);
         let inputs = vec![small.clone(), small.clone(), big, small];
-        let units = plan_units(&inputs, DEFAULT_SMALL_INPUT_THRESHOLD);
+        let units = plan_units(&inputs);
         assert_eq!(units, vec![vec![0, 1], vec![2], vec![3]]);
-        // Threshold 0 disables grouping.
-        let units = plan_units(&inputs, 0);
-        assert_eq!(units.len(), 4);
-        // Grouping never changes results.
+        // Grouping never changes results: batch items equal the
+        // sequential parser's, one input at a time.
         let grouped = BatchParser::new(fig2()).with_jobs(2).parse_many(&inputs);
-        let ungrouped = BatchParser::new(fig2())
-            .with_jobs(2)
-            .with_small_input_threshold(0)
-            .parse_many(&inputs);
-        for (a, b) in grouped.items.iter().zip(ungrouped.items.iter()) {
-            assert_eq!(a.outcome(), b.outcome());
-            assert_eq!(a.metrics.deterministic(), b.metrics.deterministic());
+        let mut seq = Parser::new(fig2());
+        for (item, word) in grouped.items.iter().zip(&inputs) {
+            let (outcome, metrics) = seq.parse_with_metrics(word);
+            assert_eq!(item.outcome(), &outcome);
+            assert_eq!(item.metrics.deterministic(), metrics.deterministic());
         }
     }
 
@@ -763,8 +609,7 @@ mod tests {
             .with_jobs(2)
             // A 1-step shared fuel would abort everything; auto mode must
             // replace it with each input's own certified bound.
-            .with_budget(Budget::unlimited().with_max_steps(1))
-            .with_auto_steps(true);
+            .with_budget(Budget::unlimited().with_max_steps(1).with_auto_steps());
         let r = batch.parse_many(&inputs);
         for (i, item) in r.items.iter().enumerate() {
             assert!(
@@ -782,7 +627,7 @@ mod tests {
         // Auto fuel stays deterministic across worker counts.
         let seq = BatchParser::new(fig2())
             .with_jobs(1)
-            .with_auto_steps(true)
+            .with_budget(Budget::unlimited().with_auto_steps())
             .parse_many(&inputs);
         for (a, b) in seq.items.iter().zip(r.items.iter()) {
             assert_eq!(a.metrics.deterministic(), b.metrics.deterministic());

@@ -118,18 +118,29 @@ impl fmt::Display for AbortReason {
 /// word.push(Token::new(b, "b"));
 ///
 /// // Two steps of fuel cannot finish a 101-token parse: typed abort.
-/// let mut parser = Parser::with_budget(g, Budget::unlimited().with_max_steps(2));
+/// let mut parser = Parser::new(g);
+/// parser.set_budget(Budget::unlimited().with_max_steps(2));
 /// assert!(matches!(parser.parse(&word), ParseOutcome::Aborted(_)));
 /// # Ok::<(), Box<dyn std::error::Error>>(())
 /// ```
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct Budget {
-    max_steps: Option<u64>,
+    steps: Fuel,
     deadline: Option<Duration>,
     max_stack_depth: Option<usize>,
     max_cache_entries: Option<usize>,
     max_cache_bytes: Option<usize>,
     max_recoveries: Option<u64>,
+}
+
+/// Where a budget's step fuel comes from.
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+enum Fuel {
+    #[default]
+    Unlimited,
+    Fixed(u64),
+    /// The cost certificate's bound for each input's own length.
+    Auto,
 }
 
 impl Budget {
@@ -164,7 +175,22 @@ impl Budget {
     /// Caps the total fuel: machine steps plus prediction lookahead
     /// tokens examined.
     pub fn with_max_steps(mut self, steps: u64) -> Self {
-        self.max_steps = Some(steps);
+        self.steps = Fuel::Fixed(steps);
+        self
+    }
+
+    /// Derives each parse's step fuel from the grammar's certified cost
+    /// bound instead of a fixed pool: an input of `n` tokens parses under
+    /// fuel [`CostModel::bound_for(n)`](costar_grammar::analysis::CostModel::bound_for),
+    /// replacing any fuel set via [`Budget::with_max_steps`] (and vice
+    /// versa — the later call wins). Because the certificate claims no
+    /// accepting or rejecting parse exceeds the bound, a `StepLimit` abort
+    /// under auto fuel is evidence of a parser or certificate bug, never
+    /// of a large input; and in a batch, one long file can never inflate a
+    /// sibling's allowance, since every input's fuel comes from its own
+    /// length.
+    pub fn with_auto_steps(mut self) -> Self {
+        self.steps = Fuel::Auto;
         self
     }
 
@@ -214,9 +240,22 @@ impl Budget {
         self
     }
 
-    /// The configured step fuel, if any.
+    /// The configured step fuel, if a fixed pool is set (`None` for
+    /// unlimited and for [`Budget::with_auto_steps`]).
     pub fn max_steps(&self) -> Option<u64> {
-        self.max_steps
+        match self.steps {
+            Fuel::Fixed(n) => Some(n),
+            Fuel::Unlimited | Fuel::Auto => None,
+        }
+    }
+
+    /// This budget with auto fuel resolved to `bound`, the certified cost
+    /// bound for the input about to be parsed; other budgets unchanged.
+    pub(crate) fn resolve_auto_steps(self, bound: impl FnOnce() -> u64) -> Self {
+        match self.steps {
+            Fuel::Auto => self.with_max_steps(bound()),
+            Fuel::Unlimited | Fuel::Fixed(_) => self,
+        }
     }
 
     /// The configured deadline, if any.
@@ -264,17 +303,21 @@ pub(crate) struct Meter {
     step_limit: u64,
     deadline: Option<(Instant, Duration)>,
     max_depth: Option<usize>,
+    max_recoveries: Option<u64>,
     until_clock_check: u32,
     steps: u64,
 }
 
 impl Meter {
+    /// A meter for `budget`. Auto fuel must already be resolved
+    /// ([`Budget::resolve_auto_steps`]); an unresolved one meters nothing.
     pub(crate) fn new(budget: &Budget) -> Self {
         Meter {
-            fuel: budget.max_steps,
-            step_limit: budget.max_steps.unwrap_or(u64::MAX),
+            fuel: budget.max_steps(),
+            step_limit: budget.max_steps().unwrap_or(u64::MAX),
             deadline: budget.deadline.map(|d| (Instant::now(), d)),
             max_depth: budget.max_stack_depth,
+            max_recoveries: budget.max_recoveries,
             until_clock_check: 1,
             steps: 0,
         }
@@ -327,6 +370,15 @@ impl Meter {
     pub(crate) fn check_depth(&self, depth: usize) -> Result<(), AbortReason> {
         match self.max_depth {
             Some(limit) if depth > limit => Err(AbortReason::StackDepth { depth, limit }),
+            _ => Ok(()),
+        }
+    }
+
+    /// Checks whether a recovering parse that has already recovered
+    /// `done` errors may recover one more.
+    pub(crate) fn check_recoveries(&self, done: usize) -> Result<(), AbortReason> {
+        match self.max_recoveries {
+            Some(limit) if done as u64 >= limit => Err(AbortReason::RecoveryLimit { limit }),
             _ => Ok(()),
         }
     }
@@ -472,6 +524,11 @@ mod tests {
         assert_eq!(b.max_cache_entries(), Some(64));
         assert_eq!(b.max_cache_bytes(), Some(1 << 20));
         assert_eq!(b.max_recoveries(), Some(3));
+        let auto = b.with_auto_steps();
+        assert!(!auto.is_unlimited());
+        assert_eq!(auto.max_steps(), None);
+        assert_eq!(auto.resolve_auto_steps(|| 11).max_steps(), Some(11));
+        assert_eq!(b.resolve_auto_steps(|| 11).max_steps(), Some(7));
         assert!(!b.is_unlimited());
         assert!(Budget::unlimited().is_unlimited());
         assert!(!Budget::unlimited().with_max_recoveries(0).is_unlimited());

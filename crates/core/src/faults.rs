@@ -31,7 +31,7 @@ pub struct FaultPlan {
     /// Panic when the machine reaches this (0-based) fuel index or the
     /// first machine step after it (fuel is shared with prediction
     /// lookahead, so the exact index may fall between steps) — exercises
-    /// the `catch_unwind` boundary in [`crate::Parser::parse`], which
+    /// the panic boundary in [`crate::Parser::run`], which
     /// must map the panic to a typed
     /// [`ParseError::InvalidState`](crate::ParseError::InvalidState).
     pub panic_at_step: Option<u64>,

@@ -39,7 +39,14 @@
 //!
 //! ## Architecture (paper §3)
 //!
-//! * [`machine`] — the stack machine: machine states, `step`, `multistep`.
+//! * [`machine`] — the stack machine: machine states, `step`, and the
+//!   one `multistep` loop every parse runs (recovering on rejection when
+//!   asked, see [`recover`]).
+//! * [`Parser`] — the one parse driver ([`Parser::run`]): cache policy,
+//!   budget (including auto fuel from the cost certificate), the
+//!   panic-safe boundary, and the metrics stamp. Every other entry point —
+//!   plain, recovering, one-shot [`parse`], edit sessions, batch items —
+//!   is a thin wrapper over it.
 //! * `prediction` (private) — `adaptivePredict`: SLL simulation with the
 //!   DFA cache ([`SllCache`]), LL failover, ambiguity detection.
 //! * [`measure`] — the `(tokens, stackScore, height)` termination measure
@@ -58,10 +65,10 @@
 //!   [`ParseObserver`] hook trait, [`MetricsObserver`]/[`ParseMetrics`]
 //!   for counters and latency histograms, and [`TraceObserver`] for
 //!   bounded post-mortem event traces.
-//! * [`batch`] — parallel batch parsing: [`BatchParser`] shares one
-//!   immutable grammar + analysis across a worker pool (per-worker
-//!   prediction caches, per-input budgets) with results deterministic in
-//!   input order regardless of worker count.
+//! * [`batch`] — parallel batch parsing: [`BatchParser`] runs clones of
+//!   one [`Parser`] — sharing its immutable grammar + analysis, each with
+//!   a private prediction cache — as a worker pool, with results
+//!   deterministic in input order regardless of worker count.
 //! * `session` (private module, types re-exported) — incremental editing:
 //!   [`ParseSession`] keeps source, token vector, and cached outcome
 //!   alive across [`Parser::reparse_after_edit`] calls, re-lexing only
@@ -104,7 +111,7 @@ pub use machine::{Machine, ParseOutcome, PredictionMode, StepResult};
 pub use observe::{
     MetricsObserver, NullObserver, ParseMetrics, ParseObserver, TraceEvent, TraceObserver,
 };
-pub use parser::{parse, Parser};
+pub use parser::{parse, CachePolicy, Parser};
 pub use prediction::cache::{CacheStats, PredictionStats, SllCache};
 pub use recover::{Diagnostic, RecoveredParse};
 pub use session::{ParseSession, SessionReparse};

@@ -15,6 +15,7 @@ use crate::error::{ParseError, RejectReason};
 use crate::observe::{MachineOp, NullObserver, ParseObserver};
 use crate::prediction::cache::SllCache;
 use crate::prediction::{adaptive_predict, ll_only_predict, Prediction};
+use crate::recover::{self, Diagnostic, RecoveredParse};
 use crate::state::{MachineState, PrefixFrame, SuffixFrame};
 use costar_grammar::analysis::GrammarAnalysis;
 use costar_grammar::{Grammar, Symbol, Token, Tree};
@@ -142,10 +143,11 @@ impl<'a> Machine<'a> {
     }
 
     /// Creates a machine governed by a [`Budget`]. Machine steps and
-    /// prediction lookahead draw from one shared fuel pool; the deadline
-    /// and stack-depth limits are checked as the machine runs. Cache
-    /// capacity limits are applied by the caller to the [`SllCache`] it
-    /// supplies (see [`SllCache::set_capacity`]).
+    /// prediction lookahead draw from one shared fuel pool — under
+    /// [`Budget::with_auto_steps`], the cost certificate's bound for this
+    /// word's length; the deadline and stack-depth limits are checked as
+    /// the machine runs. Cache capacity limits are applied by the caller
+    /// to the [`SllCache`] it supplies (see [`SllCache::set_capacity`]).
     pub fn with_budget(
         grammar: &'a Grammar,
         analysis: &'a GrammarAnalysis,
@@ -159,7 +161,9 @@ impl<'a> Machine<'a> {
             tokens,
             state: MachineState::initial(grammar.start(), grammar.num_nonterminals()),
             mode,
-            meter: Meter::new(budget),
+            meter: Meter::new(
+                &budget.resolve_auto_steps(|| analysis.cost.bound_for(tokens.len() as u64)),
+            ),
         }
     }
 
@@ -183,6 +187,16 @@ impl<'a> Machine<'a> {
     /// The grammar being interpreted.
     pub fn grammar(&self) -> &'a Grammar {
         self.grammar
+    }
+
+    /// The grammar analyses prediction and recovery consult.
+    pub(crate) fn analysis(&self) -> &'a GrammarAnalysis {
+        self.analysis
+    }
+
+    /// Checks the budget's recovery cap before recovery number `done + 1`.
+    pub(crate) fn check_recoveries(&self, done: usize) -> Result<(), AbortReason> {
+        self.meter.check_recoveries(done)
     }
 
     /// Units of fuel spent so far: machine operations plus prediction
@@ -408,24 +422,53 @@ impl<'a> Machine<'a> {
     /// [`run`](Machine::run) with a [`ParseObserver`] receiving every
     /// event, including a final [`ParseObserver::on_finish`] carrying the
     /// meter's total fuel count.
-    pub fn run_observed<O: ParseObserver>(
+    pub fn run_observed<O: ParseObserver>(self, cache: &mut SllCache, obs: &mut O) -> ParseOutcome {
+        self.multistep(cache, obs, false).outcome
+    }
+
+    /// The one step loop behind every parse. With `recover`, a `Reject`
+    /// step hands the machine to panic-mode resynchronization
+    /// ([`crate::recover`]) and the loop keeps going; without it, the
+    /// first `Reject` ends the parse. On a word the grammar accepts no
+    /// step rejects, so both modes take the identical step sequence.
+    pub(crate) fn multistep<O: ParseObserver>(
         mut self,
         cache: &mut SllCache,
         obs: &mut O,
-    ) -> ParseOutcome {
-        let outcome = loop {
+        recover: bool,
+    ) -> RecoveredParse {
+        let mut diagnostics: Vec<Diagnostic> = Vec::new();
+        let mut last_recovery_cursor: Option<usize> = None;
+        let (error_tree, outcome) = loop {
+            if !diagnostics.is_empty() {
+                recover::normalize_final_forest(&mut self);
+            }
             match self.step_observed(cache, obs) {
                 StepResult::Cont => continue,
                 StepResult::Accept(tree) => {
-                    break if self.state.unique {
-                        ParseOutcome::Unique(tree)
-                    } else {
-                        ParseOutcome::Ambig(tree)
+                    // Clean parses hand the tree to the outcome (no
+                    // clone); recovered parses keep the error tree
+                    // alongside the first rejection.
+                    break match diagnostics.first() {
+                        Some(d) => (Some(tree), ParseOutcome::Reject(d.reason.clone())),
+                        None if self.state.unique => (None, ParseOutcome::Unique(tree)),
+                        None => (None, ParseOutcome::Ambig(tree)),
+                    };
+                }
+                StepResult::Reject(reason) if recover => {
+                    if let Err(abort) = recover::recover(
+                        &mut self,
+                        obs,
+                        reason,
+                        &mut diagnostics,
+                        &mut last_recovery_cursor,
+                    ) {
+                        break (None, ParseOutcome::Aborted(abort));
                     }
                 }
-                StepResult::Reject(r) => break ParseOutcome::Reject(r),
-                StepResult::Error(e) => break ParseOutcome::Error(e),
-                StepResult::Abort(r) => break ParseOutcome::Aborted(r),
+                StepResult::Reject(r) => break (None, ParseOutcome::Reject(r)),
+                StepResult::Error(e) => break (None, ParseOutcome::Error(e)),
+                StepResult::Abort(r) => break (None, ParseOutcome::Aborted(r)),
             }
         };
         // The cost certificate's claim covers accepting and rejecting
@@ -433,16 +476,22 @@ impl<'a> Machine<'a> {
         // certificate surfaces dynamically (mirroring the lookahead
         // certificate check in prediction). Errors and aborts are outside
         // the claim — an abort in particular stops *because* fuel ran
-        // out, which says nothing about the bound.
-        if matches!(
-            outcome,
-            ParseOutcome::Unique(_) | ParseOutcome::Ambig(_) | ParseOutcome::Reject(_)
-        ) {
+        // out — and so is resync work after a recovery.
+        if diagnostics.is_empty()
+            && matches!(
+                outcome,
+                ParseOutcome::Unique(_) | ParseOutcome::Ambig(_) | ParseOutcome::Reject(_)
+            )
+        {
             let bound = self.analysis.cost.bound_for(self.tokens.len() as u64);
             obs.on_cost_check(bound, self.meter.steps_taken() <= bound);
         }
         obs.on_finish(self.meter.steps_taken());
-        outcome
+        RecoveredParse {
+            error_tree,
+            diagnostics,
+            outcome,
+        }
     }
 }
 

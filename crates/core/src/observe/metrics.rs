@@ -203,10 +203,10 @@ pub struct ParseMetrics {
     /// Lookahead depth distribution per prediction phase.
     pub lookahead_depth: Histogram,
     /// Input length in tokens (filled by
-    /// [`Parser::parse_with_metrics`](crate::Parser::parse_with_metrics)).
+    /// [`Parser::run_measured`](crate::Parser::run_measured)).
     pub tokens: usize,
     /// Total wall-clock nanoseconds for the parse (filled by
-    /// [`Parser::parse_with_metrics`](crate::Parser::parse_with_metrics)).
+    /// [`Parser::run_measured`](crate::Parser::run_measured)).
     pub total_nanos: u64,
 }
 

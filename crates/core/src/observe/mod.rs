@@ -198,8 +198,9 @@ pub trait ParseObserver {
     /// bounds, caught dynamically because static replay can only pin the
     /// derivation, not the universal claim over inputs. Never fires for
     /// errored or aborted parses (the bound's claim covers accepting and
-    /// rejecting parses only) nor from the recovering driver (resync work
-    /// is outside the certified budget). Fires just before
+    /// rejecting parses only), and never after a recovery (resync work is
+    /// outside the certified budget) — a recovering parse of valid input
+    /// is checked exactly like the plain parse. Fires just before
     /// [`ParseObserver::on_finish`].
     #[inline]
     fn on_cost_check(&mut self, _predicted_steps: u64, _within_bound: bool) {}

@@ -1,4 +1,4 @@
-//! The top-level parsing API (paper §3.1).
+//! The top-level parsing API (paper §3.1) and the one parse driver.
 //!
 //! The entry point mirrors the paper's `parse` function: it takes a
 //! grammar, a start symbol (carried by the [`Grammar`] itself), and an
@@ -6,18 +6,26 @@
 //! `Ambig`, a `Reject`, or an `Error` (the latter provably unreachable for
 //! well-formed, non-left-recursive grammars).
 //!
-//! [`Parser`] is the reusable form: it computes the grammar analyses once
-//! and owns the SLL prediction cache. The published CoStar rebuilds its
-//! cache for every input (paper §6.2); `Parser` reproduces that policy by
-//! default and additionally offers cross-input cache persistence — the
-//! optimization ANTLR uses and the paper measures in Fig. 11 — via
-//! [`Parser::with_cache_reuse`].
+//! [`Parser`] is the reusable form: it shares the grammar and its
+//! analyses behind `Arc`s and owns the SLL prediction cache. The published
+//! CoStar rebuilds its cache for every input (paper §6.2); `Parser`
+//! reproduces that policy by default and additionally offers cross-input
+//! cache persistence — the optimization ANTLR uses and the paper measures
+//! in Fig. 11 — via [`CachePolicy::Persistent`].
 //!
-//! [`Parser::parse`] is additionally a *panic-safe* boundary: any panic
+//! Every parse, whatever its flavor — plain or recovering, one-shot,
+//! edit-session reparse, or batch item — runs through one driver,
+//! [`Parser::run`]. It resets the cache per the [`CachePolicy`], applies
+//! the budget's cache caps, builds one budgeted [`Machine`] (which
+//! resolves [`Budget::with_auto_steps`] fuel from the cost certificate),
+//! and runs the machine's one step loop, recovering on rejection when
+//! asked. The driver is also the crate's *panic-safe* boundary: any panic
 //! raised below it (a bug in the parser, not in the caller's input) is
 //! caught, the prediction cache is discarded, and the panic surfaces as a
 //! typed [`ParseOutcome::Error`] with
 //! [`ParseError::InvalidState`](crate::ParseError::InvalidState).
+//! [`Parser::run_measured`] wraps it once more with the one
+//! [`ParseMetrics`] stamp (input size and wall-clock time).
 
 #![warn(clippy::disallowed_methods, clippy::disallowed_macros)]
 use crate::budget::Budget;
@@ -25,19 +33,25 @@ use crate::error::ParseError;
 use crate::machine::{Machine, ParseOutcome, PredictionMode};
 use crate::observe::{MetricsObserver, NullObserver, ParseMetrics, ParseObserver};
 use crate::prediction::cache::{CacheStats, PredictionStats, SllCache};
-use crate::recover::{self, RecoveredParse};
+use crate::recover::RecoveredParse;
 use costar_grammar::analysis::GrammarAnalysis;
 use costar_grammar::{Grammar, NonTerminal, Token};
 use std::panic::{catch_unwind, AssertUnwindSafe};
+use std::sync::Arc;
 use std::time::Instant;
 
-/// Cache policy across inputs.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-enum CachePolicy {
+/// Where each parse's prediction cache starts.
+#[derive(Debug, Clone)]
+pub enum CachePolicy {
     /// Fresh cache per input — the published CoStar behavior (§6.2).
     PerInput,
-    /// Persistent cache across inputs — ANTLR's behavior, our extension.
+    /// Persistent cache across inputs (the paper's §8 "reuse a cache
+    /// across multiple inputs" extension; ANTLR's default behavior).
     Persistent,
+    /// Every parse starts from a private clone of this snapshot: warm,
+    /// yet independent of what the parser parsed before (the batch
+    /// parser's warm-cache mode).
+    Snapshot(Arc<SllCache>),
 }
 
 /// A reusable ALL(*) parser for one grammar.
@@ -64,95 +78,55 @@ enum CachePolicy {
 /// assert_eq!(tree.leaf_count(), 3);
 /// # Ok::<(), Box<dyn std::error::Error>>(())
 /// ```
-#[derive(Debug)]
+#[derive(Debug, Clone)]
 pub struct Parser {
-    grammar: Grammar,
-    analysis: GrammarAnalysis,
-    cache: SllCache,
-    policy: CachePolicy,
+    grammar: Arc<Grammar>,
+    analysis: Arc<GrammarAnalysis>,
+    pub(crate) cache: SllCache,
+    pub(crate) policy: CachePolicy,
     mode: PredictionMode,
     budget: Budget,
 }
 
 impl Parser {
-    /// Creates a parser that, like published CoStar, starts every parse
-    /// with an empty prediction cache.
+    /// Creates a parser for `grammar`, computing its analyses. Like
+    /// published CoStar, it starts every parse with an empty prediction
+    /// cache.
     pub fn new(grammar: Grammar) -> Self {
         let analysis = GrammarAnalysis::compute(&grammar);
-        Parser {
-            grammar,
-            analysis,
-            cache: SllCache::new(),
-            policy: CachePolicy::PerInput,
-            mode: PredictionMode::Adaptive,
-            budget: Budget::unlimited(),
-        }
+        Parser::with_analysis(grammar, analysis)
     }
 
     /// Creates a parser from a grammar and a **precomputed**
     /// [`GrammarAnalysis`] — e.g. one restored from the on-disk grammar
     /// cache (`costar_grammar::analysis::from_cache_json`), skipping the
-    /// FIRST/FOLLOW/decision-table computation entirely.
+    /// FIRST/FOLLOW/decision-table computation entirely. Either may be
+    /// passed by value or as an already-shared `Arc`, so many parsers
+    /// (the workers of a [`BatchParser`](crate::BatchParser)) can share
+    /// one context.
     ///
     /// The analysis must have been computed (or validated, as the cache
     /// decoder does) against this exact grammar; pairing it with a
     /// different grammar produces undefined parse results (though never
     /// memory unsafety).
-    pub fn with_analysis(grammar: Grammar, analysis: GrammarAnalysis) -> Self {
+    pub fn with_analysis(
+        grammar: impl Into<Arc<Grammar>>,
+        analysis: impl Into<Arc<GrammarAnalysis>>,
+    ) -> Self {
+        let analysis = analysis.into();
         // The audit certificate bounds the SLL closure-graph size per
         // decision; pre-size the prediction cache to that estimate so the
         // warm-up phase of certificate-backed parsers avoids rehashing.
         let mut cache = SllCache::new();
         cache.reserve_states(analysis.audit.total_graph_states());
         Parser {
-            grammar,
+            grammar: grammar.into(),
             analysis,
             cache,
             policy: CachePolicy::PerInput,
             mode: PredictionMode::Adaptive,
             budget: Budget::unlimited(),
         }
-    }
-
-    /// Creates a parser governed by a resource [`Budget`]: every parse
-    /// draws machine steps and prediction lookahead from the budget's
-    /// fuel, honors its deadline and stack-depth limits (surfacing
-    /// exhaustion as [`ParseOutcome::Aborted`]), and caps the SLL cache at
-    /// its entry/byte limits (degrading by LRU eviction, never by abort).
-    pub fn with_budget(grammar: Grammar, budget: Budget) -> Self {
-        let mut p = Parser::new(grammar);
-        p.budget = budget;
-        p
-    }
-
-    /// Creates a parser that runs precise LL prediction at every decision
-    /// point, bypassing SLL and its cache — the "memoization off" arm of
-    /// the cache ablation. Outcomes are identical to [`Parser::new`];
-    /// only performance differs.
-    pub fn with_ll_only(grammar: Grammar) -> Self {
-        let mut p = Parser::new(grammar);
-        p.mode = PredictionMode::LlOnly;
-        p
-    }
-
-    /// Creates a parser that disables the static LL(1) fast path and runs
-    /// full adaptive (SLL with LL failover) prediction at every decision
-    /// point — the "static table off" arm of the fast-path ablation.
-    /// Outcomes are identical to [`Parser::new`]; only performance (and
-    /// the `static_fast_path` counters) differ.
-    pub fn with_no_static_fast_path(grammar: Grammar) -> Self {
-        let mut p = Parser::new(grammar);
-        p.mode = PredictionMode::AdaptiveNoStatic;
-        p
-    }
-
-    /// Creates a parser that keeps its SLL prediction cache warm across
-    /// inputs (the paper's §8 "reuse a cache across multiple inputs"
-    /// extension; ANTLR's default behavior).
-    pub fn with_cache_reuse(grammar: Grammar) -> Self {
-        let mut p = Parser::new(grammar);
-        p.policy = CachePolicy::Persistent;
-        p
     }
 
     /// The grammar this parser interprets.
@@ -178,10 +152,30 @@ impl Parser {
         &self.budget
     }
 
-    /// Replaces the budget for subsequent parses. Cache capacity limits
-    /// take effect at the start of the next [`Parser::parse`] call.
+    /// Replaces the budget for subsequent parses: every parse draws
+    /// machine steps and prediction lookahead from the budget's fuel,
+    /// honors its deadline and stack-depth limits (surfacing exhaustion as
+    /// [`ParseOutcome::Aborted`]), and caps the SLL cache at its
+    /// entry/byte limits (degrading by LRU eviction, never by abort).
+    /// Cache caps take effect at the start of the next parse.
     pub fn set_budget(&mut self, budget: Budget) {
         self.budget = budget;
+    }
+
+    /// Sets the [`PredictionMode`] for subsequent parses — the ablation
+    /// control: [`PredictionMode::LlOnly`] runs precise LL prediction at
+    /// every decision (the "memoization off" arm), and
+    /// [`PredictionMode::AdaptiveNoStatic`] disables the static LL(1)
+    /// fast path. Outcomes are identical in every mode; only performance
+    /// (and the prediction counters) differ.
+    pub fn set_prediction_mode(&mut self, mode: PredictionMode) {
+        self.mode = mode;
+    }
+
+    /// Sets where each subsequent parse's prediction cache starts (see
+    /// [`CachePolicy`]).
+    pub fn set_cache_policy(&mut self, policy: CachePolicy) {
+        self.policy = policy;
     }
 
     /// Installs a deterministic [`FaultPlan`](crate::FaultPlan) on this
@@ -193,55 +187,19 @@ impl Parser {
         self.cache.install_fault_plan(plan);
     }
 
-    /// Parses `word`, starting from the grammar's start symbol.
-    ///
-    /// This is the crate's panic-safe boundary: a panic anywhere below
-    /// (which for a well-formed grammar indicates a parser bug, never a
-    /// property of the input) is caught, the possibly-inconsistent
-    /// prediction cache is discarded, and the result is
-    /// [`ParseOutcome::Error`] rather than an unwinding panic.
+    /// Parses `word`, starting from the grammar's start symbol. Like every
+    /// entry point, this runs through [`Parser::run`], the panic-safe
+    /// boundary.
     pub fn parse(&mut self, word: &[Token]) -> ParseOutcome {
-        self.parse_observed(word, &mut NullObserver)
+        self.run(word, false, &mut NullObserver).outcome
     }
 
-    /// [`Parser::parse`] with a [`ParseObserver`] receiving every parse
-    /// event. The observer is monomorphized in: with [`NullObserver`]
-    /// (what [`Parser::parse`] passes) every hook compiles away.
-    pub fn parse_observed<O: ParseObserver>(
-        &mut self,
-        word: &[Token],
-        obs: &mut O,
-    ) -> ParseOutcome {
-        if self.policy == CachePolicy::PerInput {
-            self.cache.clear();
-        }
-        self.cache.set_capacity(
-            self.budget.max_cache_entries(),
-            self.budget.max_cache_bytes(),
-        );
-        let result = catch_unwind(AssertUnwindSafe(|| {
-            Machine::with_budget(&self.grammar, &self.analysis, word, self.mode, &self.budget)
-                .run_observed(&mut self.cache, obs)
-        }));
-        match result {
-            Ok(outcome) => outcome,
-            Err(payload) => {
-                // The panic may have interrupted a cache mutation; drop
-                // everything cached so the parser stays usable (this is
-                // what makes the AssertUnwindSafe above sound).
-                self.cache.clear();
-                let msg: &str = if let Some(s) = payload.downcast_ref::<&str>() {
-                    s
-                } else if let Some(s) = payload.downcast_ref::<String>() {
-                    s.as_str()
-                } else {
-                    "non-string panic payload"
-                };
-                ParseOutcome::Error(ParseError::invalid_state(format!(
-                    "panic during parse: {msg}"
-                )))
-            }
-        }
+    /// Parses `word` while measuring it: the outcome together with the
+    /// full [`ParseMetrics`] — counters, latency histograms, input size,
+    /// and wall-clock time.
+    pub fn parse_with_metrics(&mut self, word: &[Token]) -> (ParseOutcome, ParseMetrics) {
+        let (recovered, metrics, _) = self.run_measured(word, false, NullObserver);
+        (recovered.outcome, metrics)
     }
 
     /// Parses `word` with syntax-error recovery: instead of stopping at
@@ -258,99 +216,95 @@ impl Parser {
     /// [`Budget::with_max_recoveries`](crate::Budget::with_max_recoveries);
     /// exceeding the cap aborts with
     /// [`AbortReason::RecoveryLimit`](crate::AbortReason::RecoveryLimit).
-    ///
-    /// Like [`Parser::parse`], this is a panic-safe boundary.
     pub fn parse_recovering(&mut self, word: &[Token]) -> RecoveredParse {
-        self.parse_recovering_observed(word, &mut NullObserver)
+        self.run(word, true, &mut NullObserver)
     }
 
-    /// [`Parser::parse_recovering`] with a [`ParseObserver`]. Recovery
-    /// fires the [`ParseObserver::on_recovery`] and
-    /// [`ParseObserver::on_resync_skip`] hooks in addition to the plain
-    /// parse events.
-    pub fn parse_recovering_observed<O: ParseObserver>(
+    /// [`Parser::parse_recovering`] with the full [`ParseMetrics`]
+    /// (including the `recoveries` / `tokens_skipped` counters).
+    pub fn parse_recovering_with_metrics(
         &mut self,
         word: &[Token],
+    ) -> (RecoveredParse, ParseMetrics) {
+        let (recovered, metrics, _) = self.run_measured(word, true, NullObserver);
+        (recovered, metrics)
+    }
+
+    /// The one parse driver: every other entry point is a wrapper. Parses
+    /// `word` with `obs` receiving every parse event — and, when
+    /// `recover` is set, resynchronizes past syntax errors as
+    /// [`Parser::parse_recovering`] describes (firing the
+    /// [`ParseObserver::on_recovery`] and
+    /// [`ParseObserver::on_resync_skip`] hooks as well). Without
+    /// `recover`, the result carries the plain outcome and no diagnostics.
+    ///
+    /// The observer is monomorphized in: with [`NullObserver`] every hook
+    /// compiles away. A panic anywhere below (which for a well-formed
+    /// grammar indicates a parser bug, never a property of the input) is
+    /// caught, the possibly-inconsistent prediction cache is discarded,
+    /// and the result is [`ParseOutcome::Error`] rather than an unwinding
+    /// panic.
+    pub fn run<O: ParseObserver>(
+        &mut self,
+        word: &[Token],
+        recover: bool,
         obs: &mut O,
     ) -> RecoveredParse {
-        if self.policy == CachePolicy::PerInput {
-            self.cache.clear();
+        match &self.policy {
+            CachePolicy::PerInput => self.cache.clear(),
+            CachePolicy::Persistent => {}
+            CachePolicy::Snapshot(snapshot) => self.cache.clone_from(snapshot),
         }
         self.cache.set_capacity(
             self.budget.max_cache_entries(),
             self.budget.max_cache_bytes(),
         );
         let result = catch_unwind(AssertUnwindSafe(|| {
-            let machine =
-                Machine::with_budget(&self.grammar, &self.analysis, word, self.mode, &self.budget);
-            recover::run_recovering(
-                &self.analysis,
-                machine,
-                &mut self.cache,
-                obs,
-                self.budget.max_recoveries(),
-            )
+            Machine::with_budget(&self.grammar, &self.analysis, word, self.mode, &self.budget)
+                .multistep(&mut self.cache, obs, recover)
         }));
-        match result {
-            Ok(recovered) => recovered,
-            Err(payload) => {
-                self.cache.clear();
-                let msg: &str = if let Some(s) = payload.downcast_ref::<&str>() {
-                    s
-                } else if let Some(s) = payload.downcast_ref::<String>() {
-                    s.as_str()
-                } else {
-                    "non-string panic payload"
-                };
-                RecoveredParse {
-                    error_tree: None,
-                    diagnostics: Vec::new(),
-                    outcome: ParseOutcome::Error(ParseError::invalid_state(format!(
-                        "panic during parse: {msg}"
-                    ))),
-                }
+        result.unwrap_or_else(|payload| {
+            // The panic may have interrupted a cache mutation; drop
+            // everything cached so the parser stays usable (this is what
+            // makes the AssertUnwindSafe above sound).
+            self.cache.clear();
+            let msg = payload
+                .downcast_ref::<&str>()
+                .copied()
+                .or_else(|| payload.downcast_ref::<String>().map(String::as_str))
+                .unwrap_or("non-string panic payload");
+            RecoveredParse {
+                error_tree: None,
+                diagnostics: Vec::new(),
+                outcome: ParseOutcome::Error(ParseError::invalid_state(format!(
+                    "panic during parse: {msg}"
+                ))),
             }
-        }
+        })
     }
 
-    /// [`Parser::parse_recovering`] with a [`MetricsObserver`] attached:
-    /// returns the recovered parse together with the full [`ParseMetrics`]
-    /// (including the `recoveries` / `tokens_skipped` counters).
-    pub fn parse_recovering_with_metrics(
+    /// [`Parser::run`] under a [`MetricsObserver`] paired with `extra`
+    /// (pass [`NullObserver`] for none, or e.g. a
+    /// [`TraceObserver`](crate::TraceObserver)): returns the parse, its
+    /// [`ParseMetrics`] stamped with the input size and wall-clock time,
+    /// and `extra` back.
+    pub fn run_measured<O: ParseObserver>(
         &mut self,
         word: &[Token],
-    ) -> (RecoveredParse, ParseMetrics) {
-        let mut obs = MetricsObserver::new();
-        let start = Instant::now();
-        let recovered = self.parse_recovering_observed(word, &mut obs);
-        let mut metrics = obs.into_metrics();
-        metrics.total_nanos = u64::try_from(start.elapsed().as_nanos()).unwrap_or(u64::MAX);
-        metrics.tokens = word.len();
-        (recovered, metrics)
-    }
-
-    /// Parses `word` while measuring it: runs [`Parser::parse_observed`]
-    /// with a [`MetricsObserver`] and returns the outcome together with
-    /// the full [`ParseMetrics`] — counters, latency histograms, input
-    /// size, and wall-clock time.
-    pub fn parse_with_metrics(&mut self, word: &[Token]) -> (ParseOutcome, ParseMetrics) {
-        let mut obs = MetricsObserver::new();
-        let start = Instant::now();
-        let outcome = self.parse_observed(word, &mut obs);
-        let mut metrics = obs.into_metrics();
-        metrics.total_nanos = u64::try_from(start.elapsed().as_nanos()).unwrap_or(u64::MAX);
-        metrics.tokens = word.len();
-        (outcome, metrics)
+        recover: bool,
+        extra: O,
+    ) -> (RecoveredParse, ParseMetrics, O) {
+        measured(extra, |obs| (self.run(word, recover, obs), word.len()))
     }
 
     /// SLL cache effectiveness counters (non-zero across calls only with
-    /// [`Parser::with_cache_reuse`]).
+    /// [`CachePolicy::Persistent`]).
     pub fn cache_stats(&self) -> CacheStats {
         self.cache.stats()
     }
 
     /// Prediction-behavior counters for the most recent parse (or, with
-    /// [`Parser::with_cache_reuse`], accumulated across parses): how many
+    /// [`CachePolicy::Persistent`], accumulated across parses): how many
     /// decisions SLL resolved, how often LL failover ran, and how much
     /// lookahead decisions needed.
     pub fn prediction_stats(&self) -> PredictionStats {
@@ -361,6 +315,23 @@ impl Parser {
     pub fn nonterminal(&self, name: &str) -> Option<NonTerminal> {
         self.grammar.symbols().lookup_nonterminal(name)
     }
+}
+
+/// The one [`ParseMetrics`] stamp: runs `run` under a fresh
+/// [`MetricsObserver`] paired with `extra`, then records the input size
+/// `run` reports and the wall-clock time it took.
+pub(crate) fn measured<O: ParseObserver, T>(
+    extra: O,
+    run: impl FnOnce(&mut (MetricsObserver, O)) -> (T, usize),
+) -> (T, ParseMetrics, O) {
+    let mut obs = (MetricsObserver::new(), extra);
+    let start = Instant::now();
+    let (out, tokens) = run(&mut obs);
+    let (metrics, extra) = obs;
+    let mut metrics = metrics.into_metrics();
+    metrics.total_nanos = u64::try_from(start.elapsed().as_nanos()).unwrap_or(u64::MAX);
+    metrics.tokens = tokens;
+    (out, metrics, extra)
 }
 
 /// One-shot convenience: parses `word` with grammar `g` from its start
@@ -384,9 +355,7 @@ impl Parser {
 /// # Ok::<(), Box<dyn std::error::Error>>(())
 /// ```
 pub fn parse(g: &Grammar, word: &[Token]) -> ParseOutcome {
-    let analysis = GrammarAnalysis::compute(g);
-    let mut cache = SllCache::new();
-    Machine::new(g, &analysis, word).run(&mut cache)
+    Parser::new(g.clone()).parse(word)
 }
 
 #[cfg(test)]
@@ -426,7 +395,8 @@ mod tests {
         gb.rule("A", &["a", "A"]);
         gb.rule("A", &["b"]);
         let g = gb.start("S").build().unwrap();
-        let mut p = Parser::with_cache_reuse(g);
+        let mut p = Parser::new(g);
+        p.set_cache_policy(CachePolicy::Persistent);
         let mut tab = p.grammar().symbols().clone();
         let w = tokens(&mut tab, &[("a", "a"), ("b", "b"), ("d", "d")]);
         assert!(p.parse(&w).is_accept());
@@ -500,7 +470,8 @@ mod budget_tests {
 
     #[test]
     fn tight_step_budget_aborts_and_recovers() {
-        let mut p = Parser::with_budget(fig2(), Budget::unlimited().with_max_steps(2));
+        let mut p = Parser::new(fig2());
+        p.set_budget(Budget::unlimited().with_max_steps(2));
         let mut tab = p.grammar().symbols().clone();
         let w = tokens(&mut tab, &[("a", "a"), ("b", "b"), ("d", "d")]);
         let ParseOutcome::Aborted(AbortReason::StepLimit { limit: 2 }) = p.parse(&w) else {
@@ -517,7 +488,8 @@ mod budget_tests {
         let mut tab = g.symbols().clone();
         let w = tokens(&mut tab, &[("a", "a"), ("a", "a"), ("b", "b"), ("c", "c")]);
         let budget = Budget::derived(&g, w.len());
-        let mut p = Parser::with_budget(g, budget);
+        let mut p = Parser::new(g);
+        p.set_budget(budget);
         assert!(
             p.parse(&w).is_accept(),
             "the derived fuel bound must admit any terminating parse"
@@ -530,7 +502,8 @@ mod budget_tests {
         gb.rule("S", &["a", "S"]);
         gb.rule("S", &["b"]);
         let g = gb.start("S").build().unwrap();
-        let mut p = Parser::with_budget(g, Budget::unlimited().with_max_stack_depth(8));
+        let mut p = Parser::new(g);
+        p.set_budget(Budget::unlimited().with_max_stack_depth(8));
         let mut tab = p.grammar().symbols().clone();
         let mut word: Vec<(&str, &str)> = vec![("a", "a"); 32];
         word.push(("b", "b"));
@@ -545,7 +518,8 @@ mod budget_tests {
 
     #[test]
     fn cache_caps_degrade_without_changing_outcomes() {
-        let mut p = Parser::with_budget(fig2(), Budget::unlimited().with_max_cache_entries(2));
+        let mut p = Parser::new(fig2());
+        p.set_budget(Budget::unlimited().with_max_cache_entries(2));
         let mut tab = p.grammar().symbols().clone();
         let w = tokens(&mut tab, &[("a", "a"), ("a", "a"), ("b", "b"), ("d", "d")]);
         assert!(p.parse(&w).is_accept());
@@ -579,7 +553,8 @@ mod budget_tests {
         // This grammar is LL(1), so the static fast path would bypass the
         // cache entirely; disable it so the test exercises cache-off
         // degradation of real SLL simulation.
-        let mut capped = Parser::with_no_static_fast_path(g);
+        let mut capped = Parser::new(g);
+        capped.set_prediction_mode(PredictionMode::AdaptiveNoStatic);
         capped.set_budget(Budget::unlimited().with_max_cache_entries(0));
         let got = capped.parse(&w);
         assert_eq!(expected.tree(), got.tree());
@@ -648,7 +623,8 @@ mod metrics_tests {
 
     #[test]
     fn aborted_parse_metrics_still_reconcile() {
-        let mut p = Parser::with_budget(fig2(), Budget::unlimited().with_max_steps(2));
+        let mut p = Parser::new(fig2());
+        p.set_budget(Budget::unlimited().with_max_steps(2));
         let mut tab = p.grammar().symbols().clone();
         let w = tokens(&mut tab, &[("a", "a"), ("b", "b"), ("d", "d")]);
         let (outcome, m) = p.parse_with_metrics(&w);
@@ -664,7 +640,7 @@ mod metrics_tests {
         let mut tab = p.grammar().symbols().clone();
         let w = tokens(&mut tab, &[("a", "a"), ("b", "b"), ("d", "d")]);
         let mut pair = (MetricsObserver::new(), TraceObserver::new(16));
-        assert!(p.parse_observed(&w, &mut pair).is_accept());
+        assert!(p.run(&w, false, &mut pair).is_clean());
         assert_eq!(pair.0.metrics().machine_steps, 10);
         assert!(pair.1.total_events() > 0);
         let dump = pair.1.dump(Some(p.grammar().symbols()));
@@ -740,7 +716,8 @@ mod prediction_stats_tests {
 
         let mut fast = Parser::new(g.clone());
         let fast_outcome = fast.parse(&w);
-        let mut full = Parser::with_no_static_fast_path(g);
+        let mut full = Parser::new(g);
+        full.set_prediction_mode(PredictionMode::AdaptiveNoStatic);
         let full_outcome = full.parse(&w);
 
         assert_eq!(fast_outcome.tree(), full_outcome.tree());

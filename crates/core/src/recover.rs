@@ -1,4 +1,4 @@
-//! Syntax-error recovery: a resynchronizing driver over the stack machine.
+//! Syntax-error recovery: panic-mode resynchronization of the stack machine.
 //!
 //! The paper's parser is a *decision procedure*: the first failed consume
 //! or failed prediction rejects the input and the machine halts. Tooling
@@ -8,9 +8,10 @@
 //! that contract as a layer on top of [`Machine`], without touching the
 //! verified-core step function:
 //!
-//! * the machine runs exactly as in a plain parse until a step would
-//!   produce [`StepResult::Reject`];
-//! * the driver then records a structured [`Diagnostic`] and performs
+//! * the machine runs exactly as in a plain parse — the same step loop,
+//!   [`Machine::run`]'s — until a step would produce
+//!   [`StepResult::Reject`](crate::StepResult::Reject);
+//! * when the parse was asked to recover, the loop then records a structured [`Diagnostic`] and performs
 //!   **panic-mode resynchronization**: using the sync sets precomputed by
 //!   the grammar analysis ([`costar_grammar::analysis::SyncSets`]:
 //!   FIRST ∪ FOLLOW per nonterminal)
@@ -27,7 +28,7 @@
 //! ## Soundness on valid input
 //!
 //! On a word the grammar accepts, the machine never produces `Reject`, so
-//! the driver never intervenes: [`Parser::parse_recovering`] takes the
+//! recovery never intervenes: [`Parser::parse_recovering`] takes the
 //! byte-identical step sequence as [`Parser::parse`] and returns the
 //! identical tree with zero diagnostics. The `H-RECOVER-SOUND` harness in
 //! `crates/verify` checks exactly this (proptest + bounded kani).
@@ -47,9 +48,8 @@
 #![warn(clippy::disallowed_methods, clippy::disallowed_macros)]
 use crate::budget::AbortReason;
 use crate::error::RejectReason;
-use crate::machine::{Machine, ParseOutcome, StepResult};
+use crate::machine::{Machine, ParseOutcome};
 use crate::observe::ParseObserver;
-use crate::prediction::cache::SllCache;
 use crate::state::SuffixFrame;
 use costar_grammar::analysis::GrammarAnalysis;
 use costar_grammar::{ErrorNode, NonTerminal, Span, Symbol, Terminal, Token, Tree};
@@ -146,72 +146,38 @@ struct Plan {
     target_dot: usize,
 }
 
-/// Drives `machine` to completion, recovering from every rejection.
-/// `max_recoveries` bounds how many errors are recovered before giving up
-/// with [`AbortReason::RecoveryLimit`].
-pub(crate) fn run_recovering<O: ParseObserver>(
-    analysis: &GrammarAnalysis,
-    mut machine: Machine<'_>,
-    cache: &mut SllCache,
+/// One recovery inside the machine's step loop
+/// ([`Machine::run`]'s `multistep`): enforces the budget's recovery cap,
+/// fires [`ParseObserver::on_recovery`], applies the stall guard — a
+/// second recovery at the same input position must skip at least one
+/// token — and records the diagnostic. Cold: valid input never gets here.
+#[cold]
+pub(crate) fn recover<O: ParseObserver>(
+    machine: &mut Machine<'_>,
     obs: &mut O,
-    max_recoveries: Option<u64>,
-) -> RecoveredParse {
-    let tokens = machine.tokens();
-    let mut diagnostics: Vec<Diagnostic> = Vec::new();
-    let mut last_recovery_cursor: Option<usize> = None;
-
-    let start = machine.grammar().start();
-    let (error_tree, outcome) = loop {
-        // Recovery can leave error nodes as siblings of the root in the
-        // bottom frame; the machine's accept step requires exactly one
-        // final tree, so fold them under a start-symbol node first.
-        if !diagnostics.is_empty() {
-            normalize_final_forest(&mut machine, tokens.len(), start);
-        }
-        match machine.step_observed(cache, obs) {
-            StepResult::Cont => continue,
-            StepResult::Accept(tree) => {
-                // Clean parses hand the tree to the outcome (mirroring
-                // `Parser::parse` with no clone); recovered parses keep
-                // the error tree alongside the first rejection.
-                break match diagnostics.first() {
-                    Some(d) => (Some(tree), ParseOutcome::Reject(d.reason.clone())),
-                    None if machine.state().unique => (None, ParseOutcome::Unique(tree)),
-                    None => (None, ParseOutcome::Ambig(tree)),
-                };
-            }
-            StepResult::Error(e) => break (None, ParseOutcome::Error(e)),
-            StepResult::Abort(r) => break (None, ParseOutcome::Aborted(r)),
-            StepResult::Reject(reason) => {
-                if let Some(limit) = max_recoveries {
-                    if diagnostics.len() as u64 >= limit {
-                        let abort = AbortReason::RecoveryLimit { limit };
-                        obs.on_abort(&abort);
-                        break (None, ParseOutcome::Aborted(abort));
-                    }
-                }
-                let cursor = machine.state().cursor;
-                obs.on_recovery(cursor, &reason);
-                let force_skip = last_recovery_cursor == Some(cursor);
-                last_recovery_cursor = Some(cursor);
-                let diag = recover_once(analysis, &mut machine, tokens, obs, reason, force_skip);
-                diagnostics.push(diag);
-            }
-        }
-    };
-    obs.on_finish(machine.steps_taken());
-    RecoveredParse {
-        error_tree,
-        diagnostics,
-        outcome,
+    reason: RejectReason,
+    diagnostics: &mut Vec<Diagnostic>,
+    last_cursor: &mut Option<usize>,
+) -> Result<(), AbortReason> {
+    if let Err(abort) = machine.check_recoveries(diagnostics.len()) {
+        obs.on_abort(&abort);
+        return Err(abort);
     }
+    let cursor = machine.state().cursor;
+    obs.on_recovery(cursor, &reason);
+    let force_skip = *last_cursor == Some(cursor);
+    *last_cursor = Some(cursor);
+    diagnostics.push(recover_once(machine, obs, reason, force_skip));
+    Ok(())
 }
 
 /// If the machine has reached its final configuration (one exhausted
 /// frame, all input consumed) but recovery left several trees in the
 /// bottom frame — error nodes alongside the root — wraps them all under
 /// one start-symbol node so the machine's accept step can fire.
-fn normalize_final_forest(machine: &mut Machine<'_>, input_len: usize, start: NonTerminal) {
+pub(crate) fn normalize_final_forest(machine: &mut Machine<'_>) {
+    let input_len = machine.tokens().len();
+    let start = machine.grammar().start();
     let st = machine.state_mut();
     if st.cursor < input_len || st.suffix.len() != 1 {
         return;
@@ -231,13 +197,13 @@ fn normalize_final_forest(machine: &mut Machine<'_>, input_len: usize, start: No
 /// Performs one panic-mode recovery for `reason`, mutating the machine
 /// state so the next step can make progress. Returns the diagnostic.
 fn recover_once<O: ParseObserver>(
-    analysis: &GrammarAnalysis,
     machine: &mut Machine<'_>,
-    tokens: &[Token],
     obs: &mut O,
     reason: RejectReason,
     force_skip: bool,
 ) -> Diagnostic {
+    let analysis = machine.analysis();
+    let tokens = machine.tokens();
     let expected = expected_terminals(analysis, &reason);
     let (skipped, popped) = match reason {
         RejectReason::TrailingInput { .. } => {
@@ -688,7 +654,8 @@ mod tests {
         gb.rule("list", &["stmt", ";"]);
         gb.rule("stmt", &["id", "=", "num"]);
         let g = gb.start("list").build().unwrap();
-        let mut p = Parser::with_budget(g, Budget::unlimited().with_max_recoveries(1));
+        let mut p = Parser::new(g);
+        p.set_budget(Budget::unlimited().with_max_recoveries(1));
         let w = word(
             &p,
             &[
@@ -722,7 +689,7 @@ mod tests {
         let mut p = fig2();
         let w = word(&p, &["a", "b", "x", "d"]);
         let mut obs = MetricsObserver::new();
-        let r = p.parse_recovering_observed(&w, &mut obs);
+        let r = p.run(&w, true, &mut obs);
         let m = obs.into_metrics();
         assert_eq!(m.recoveries, r.diagnostics.len() as u64);
         assert_eq!(

@@ -13,32 +13,24 @@
 //! width), the cached outcome is returned without running the parser at
 //! all: a parse is a pure function of its token word (for a fixed
 //! grammar, budget, and prediction mode), so identical words yield
-//! identical outcomes. Otherwise the spliced word is re-parsed under the
-//! parser's usual budget/observer machinery and the cache is refreshed.
+//! identical outcomes. Otherwise the spliced word is re-parsed through
+//! the parser's one driver, [`Parser::run`] — the same budget, cache
+//! policy, panic boundary and step loop as any other parse — and the
+//! cache is refreshed.
 //!
 //! Sessions come in the two flavors the parser itself has: plain
-//! ([`Parser::parse_session`], caching a [`ParseOutcome`]) and recovering
-//! ([`Parser::parse_session_recovering`], caching a [`RecoveredParse`]
-//! with its diagnostics). A session created one way stays that way — each
-//! reparse refreshes the same kind of cached result.
+//! ([`Parser::parse_session`]) and recovering
+//! ([`Parser::parse_session_recovering`], whose cached result keeps its
+//! diagnostics). A session created one way stays that way — each reparse
+//! runs with the same `recover` flag.
 
 #![warn(clippy::disallowed_methods, clippy::disallowed_macros)]
 use crate::machine::ParseOutcome;
-use crate::observe::{MetricsObserver, NullObserver, ParseMetrics, ParseObserver};
-use crate::parser::Parser;
+use crate::observe::{NullObserver, ParseMetrics, ParseObserver};
+use crate::parser::{measured, Parser};
 use crate::recover::RecoveredParse;
 use costar_grammar::Token;
 use costar_lexer::{Edit, EditError, EditSession, LexError, Lexer, SpliceReport};
-use std::time::Instant;
-
-/// The parser result a session keeps alongside its token vector. Plain
-/// and recovering parses return different types, so the cache is a sum —
-/// a session refreshes whichever variant it was created with.
-#[derive(Debug)]
-enum CachedParse {
-    Plain(ParseOutcome),
-    Recovering(RecoveredParse),
-}
 
 /// A live edit session: the current source text, its token vector with
 /// incremental-relex metadata, and the cached result of parsing that
@@ -48,7 +40,8 @@ enum CachedParse {
 #[derive(Debug)]
 pub struct ParseSession {
     lex: EditSession,
-    cached: CachedParse,
+    recover: bool,
+    cached: RecoveredParse,
 }
 
 impl ParseSession {
@@ -67,20 +60,14 @@ impl ParseSession {
     /// recovering session this is the embedded
     /// [`RecoveredParse::outcome`].
     pub fn outcome(&self) -> &ParseOutcome {
-        match &self.cached {
-            CachedParse::Plain(outcome) => outcome,
-            CachedParse::Recovering(recovered) => &recovered.outcome,
-        }
+        &self.cached.outcome
     }
 
     /// The cached recovering result — diagnostics and all — when this
     /// session was created with [`Parser::parse_session_recovering`];
     /// `None` for plain sessions.
     pub fn recovered(&self) -> Option<&RecoveredParse> {
-        match &self.cached {
-            CachedParse::Plain(_) => None,
-            CachedParse::Recovering(recovered) => Some(recovered),
-        }
+        self.recover.then_some(&self.cached)
     }
 }
 
@@ -104,12 +91,7 @@ impl Parser {
     /// Fails only if `source` does not lex; parse-level failures are
     /// values of the cached [`ParseOutcome`], not errors.
     pub fn parse_session(&mut self, lexer: &Lexer, source: &str) -> Result<ParseSession, LexError> {
-        let lex = EditSession::new(lexer, source)?;
-        let outcome = self.parse(lex.tokens());
-        Ok(ParseSession {
-            lex,
-            cached: CachedParse::Plain(outcome),
-        })
+        self.start_session(lexer, source, false)
     }
 
     /// [`Parser::parse_session`] with syntax-error recovery: the cached
@@ -120,11 +102,21 @@ impl Parser {
         lexer: &Lexer,
         source: &str,
     ) -> Result<ParseSession, LexError> {
+        self.start_session(lexer, source, true)
+    }
+
+    fn start_session(
+        &mut self,
+        lexer: &Lexer,
+        source: &str,
+        recover: bool,
+    ) -> Result<ParseSession, LexError> {
         let lex = EditSession::new(lexer, source)?;
-        let recovered = self.parse_recovering(lex.tokens());
+        let cached = self.run(lex.tokens(), recover, &mut NullObserver);
         Ok(ParseSession {
             lex,
-            cached: CachedParse::Recovering(recovered),
+            recover,
+            cached,
         })
     }
 
@@ -163,20 +155,14 @@ impl Parser {
         );
         let reused = splice.unchanged;
         if !reused {
-            match &mut session.cached {
-                CachedParse::Plain(outcome) => {
-                    *outcome = self.parse_observed(session.lex.tokens(), obs);
-                }
-                CachedParse::Recovering(recovered) => {
-                    *recovered = self.parse_recovering_observed(session.lex.tokens(), obs);
-                }
-            }
+            session.cached = self.run(session.lex.tokens(), session.recover, obs);
         }
         Ok(SessionReparse { reused, splice })
     }
 
-    /// [`Parser::reparse_after_edit`] with a [`MetricsObserver`]
-    /// attached: returns the reparse summary together with the full
+    /// [`Parser::reparse_after_edit`] with a
+    /// [`MetricsObserver`](crate::MetricsObserver) attached: returns the
+    /// reparse summary together with the full
     /// [`ParseMetrics`], including the incremental counters
     /// (`tokens_relexed`, `tokens_reused`, `incremental_lex_micros`). A
     /// reused reparse reports zero machine steps — only the re-lex ran.
@@ -185,13 +171,11 @@ impl Parser {
         session: &mut ParseSession,
         edit: &Edit,
     ) -> Result<(SessionReparse, ParseMetrics), EditError> {
-        let mut obs = MetricsObserver::new();
-        let start = Instant::now();
-        let reparse = self.reparse_after_edit_observed(session, edit, &mut obs)?;
-        let mut metrics = obs.into_metrics();
-        metrics.total_nanos = u64::try_from(start.elapsed().as_nanos()).unwrap_or(u64::MAX);
-        metrics.tokens = session.tokens().len();
-        Ok((reparse, metrics))
+        let (reparse, metrics, _) = measured(NullObserver, |obs| {
+            let reparse = self.reparse_after_edit_observed(session, edit, obs);
+            (reparse, session.tokens().len())
+        });
+        Ok((reparse?, metrics))
     }
 }
 

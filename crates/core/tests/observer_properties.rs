@@ -151,7 +151,8 @@ proptest! {
     ) {
         let g = spec.build();
         let word = random_word(&g, &picks);
-        let mut parser = Parser::with_budget(g, Budget::unlimited().with_max_steps(fuel));
+        let mut parser = Parser::new(g);
+        parser.set_budget(Budget::unlimited().with_max_steps(fuel));
         check_reconciliation(&mut parser, &word)?;
         // The meter never over-spends its fuel.
         let (_, m) = parser.parse_with_metrics(&word);
@@ -168,8 +169,8 @@ proptest! {
     ) {
         let g = spec.build();
         let word = random_word(&g, &picks);
-        let mut parser =
-            Parser::with_budget(g, Budget::unlimited().with_max_cache_entries(cap));
+        let mut parser = Parser::new(g);
+        parser.set_budget(Budget::unlimited().with_max_cache_entries(cap));
         check_reconciliation(&mut parser, &word)?;
         if cap == 0 {
             let (_, m) = parser.parse_with_metrics(&word);
@@ -192,7 +193,7 @@ proptest! {
         let mut observed = Parser::new(g);
         let baseline = plain.parse(&word);
         let mut obs = MetricsObserver::new();
-        let outcome = observed.parse_observed(&word, &mut obs);
+        let outcome = observed.run(&word, false, &mut obs).outcome;
         prop_assert_eq!(baseline, outcome);
     }
 }

@@ -20,7 +20,7 @@
 // Tests are exempt from the core's panic-freedom lints (clippy.toml).
 #![allow(clippy::disallowed_methods, clippy::disallowed_macros)]
 
-use costar::{instrument::run_instrumented, ParseError, ParseOutcome, Parser};
+use costar::{instrument::run_instrumented, CachePolicy, ParseError, ParseOutcome, Parser};
 use costar_grammar::analysis::GrammarAnalysis;
 use costar_grammar::sampler::{DerivationSampler, SplitMix64};
 use costar_grammar::{check_tree, Grammar, GrammarBuilder, Symbol, Token};
@@ -206,7 +206,8 @@ proptest! {
     ) {
         let g = spec.build();
         let mut fresh = Parser::new(g.clone());
-        let mut warm = Parser::with_cache_reuse(g.clone());
+        let mut warm = Parser::new(g.clone());
+        warm.set_cache_policy(CachePolicy::Persistent);
         let sampler = DerivationSampler::new(&g);
         let mut rng = SplitMix64::new(seed);
         let mut words = vec![random_word(&g, &picks)];

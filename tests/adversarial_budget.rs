@@ -163,8 +163,8 @@ fn zero_deadline_aborts_immediately_and_consistently() {
     let g = gb.start("S").build().unwrap();
     let mut names = vec!["a"; 64];
     names.push("b");
-    let mut parser =
-        Parser::with_budget(g.clone(), Budget::unlimited().with_deadline(Duration::ZERO));
+    let mut parser = Parser::new(g.clone());
+    parser.set_budget(Budget::unlimited().with_deadline(Duration::ZERO));
     let w = word_of(&g, &names);
     let ParseOutcome::Aborted(AbortReason::DeadlineExpired { budget_ms: 0 }) = parser.parse(&w)
     else {

@@ -20,7 +20,7 @@
 //!    oversized mutations of valid inputs.
 
 use costar::instrument::{run_instrumented, run_instrumented_with};
-use costar::{AbortReason, Budget, FaultPlan, ParseError, ParseOutcome, Parser};
+use costar::{AbortReason, Budget, CachePolicy, FaultPlan, ParseError, ParseOutcome, Parser};
 use costar_baselines::earley_recognize;
 use costar_grammar::analysis::GrammarAnalysis;
 use costar_grammar::sampler::{DerivationSampler, SplitMix64};
@@ -127,7 +127,8 @@ fn poisoned_entries_are_dropped_never_served() {
             // Cache reuse keeps poisoned states resident across inputs, so
             // later parses actually look them up (a per-input cache would
             // discard them before any lookup could serve them).
-            let mut parser = Parser::with_cache_reuse(g.clone());
+            let mut parser = Parser::new(g.clone());
+            parser.set_cache_policy(CachePolicy::Persistent);
             parser.install_fault_plan(FaultPlan::none().poison_every(period));
             for w in corpus(&g) {
                 let outcome = parser.parse(&w);
@@ -146,7 +147,8 @@ fn poisoned_entries_are_dropped_never_served() {
 #[test]
 fn combined_eviction_and_poison_storm_under_tiny_cache() {
     let g = conflict();
-    let mut parser = Parser::with_budget(g.clone(), Budget::unlimited().with_max_cache_entries(2));
+    let mut parser = Parser::new(g.clone());
+    parser.set_budget(Budget::unlimited().with_max_cache_entries(2));
     parser.install_fault_plan(FaultPlan::none().evict_every(2).poison_every(3));
     for w in corpus(&g) {
         let outcome = parser.parse(&w);
@@ -264,7 +266,8 @@ fn capped_cache_64_keeps_oracle_agreement() {
         }
         // The same configuration through the public panic-safe API, with
         // faults active on top.
-        let mut parser = Parser::with_budget(g.clone(), budget);
+        let mut parser = Parser::new(g.clone());
+        parser.set_budget(budget);
         parser.install_fault_plan(FaultPlan::none().evict_every(5).poison_every(7));
         for w in corpus(&g) {
             let outcome = parser.parse(&w);

@@ -176,10 +176,8 @@ fn max_recoveries_budget_aborts_cleanly() {
         .tokenize(r#"{ "a": [1, 2 2], "b": { "c": : true } }"#)
         .expect("lexes");
 
-    let mut capped = Parser::with_budget(
-        lang.grammar().clone(),
-        Budget::unlimited().with_max_recoveries(1),
-    );
+    let mut capped = Parser::new(lang.grammar().clone());
+    capped.set_budget(Budget::unlimited().with_max_recoveries(1));
     let recovered = capped.parse_recovering(&word);
     assert_eq!(
         recovered.outcome,
@@ -198,10 +196,8 @@ fn max_recoveries_budget_aborts_cleanly() {
     );
 
     // A cap of zero disables recovery entirely: abort on first reject.
-    let mut off = Parser::with_budget(
-        lang.grammar().clone(),
-        Budget::unlimited().with_max_recoveries(0),
-    );
+    let mut off = Parser::new(lang.grammar().clone());
+    off.set_budget(Budget::unlimited().with_max_recoveries(0));
     let recovered = off.parse_recovering(&word);
     assert_eq!(
         recovered.outcome,
@@ -211,10 +207,8 @@ fn max_recoveries_budget_aborts_cleanly() {
 
     // A generous cap never triggers, and the parser stays usable after an
     // abort (panic-safe boundary contract).
-    let mut roomy = Parser::with_budget(
-        lang.grammar().clone(),
-        Budget::unlimited().with_max_recoveries(64),
-    );
+    let mut roomy = Parser::new(lang.grammar().clone());
+    roomy.set_budget(Budget::unlimited().with_max_recoveries(64));
     let recovered = roomy.parse_recovering(&word);
     assert!(matches!(recovered.outcome, ParseOutcome::Reject(_)));
     assert!(recovered.diagnostics.len() >= 2);
