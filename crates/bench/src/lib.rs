@@ -27,6 +27,7 @@ use costar_baselines::{earley_parse, AntlrSim};
 use costar_grammar::analysis::{
     parse_cert_json, replay_certificate, to_cert_json, AuditTable, DecisionTable, GrammarAnalysis,
 };
+use costar_grammar::json::{self, Fixed};
 use costar_grammar::{Grammar, GrammarBuilder, Token};
 use costar_langs::{all_languages, corpus, Language};
 use costar_stats::{linear_fit, lowess, ratio_stats, LinearFit};
@@ -944,77 +945,62 @@ pub fn parse_bench(cfg: &Config) -> ParseBench {
 }
 
 impl ParseBench {
-    /// Serializes the report as JSON (hand-rolled; the workspace carries
-    /// no serialization dependency).
+    /// Serializes the report as JSON.
     pub fn to_json(&self) -> String {
-        use fmt::Write as _;
-        let mut s = String::from("{\"rows\":[");
-        for (i, r) in self.rows.iter().enumerate() {
-            if i > 0 {
-                s.push(',');
-            }
-            let _ = write!(
-                s,
-                "{{\"name\":{:?},\"tokens\":{},\"null_tokens_per_sec\":{:.1},\
-                 \"observed_tokens_per_sec\":{:.1},\"observer_overhead\":{:.4},\
-                 \"recovery_overhead\":{:.4},\"decisions\":{},\"single_alternative\":{},\"sll_resolved\":{},\
-                 \"failovers\":{},\"sll_fraction\":{:.4},\
-                 \"static_fast_path_hits\":{},\"static_fast_path_fraction\":{:.4},\
-                 \"decision_table_micros\":{:.1},\"audit_micros\":{:.1},\
-                 \"cert_validate_micros\":{:.1},\"cert_speedup\":{:.1},\
-                 \"cache_lookups\":{},\
-                 \"cache_hits\":{},\"cache_hit_rate\":{:.4},\"machine_steps\":{},\
-                 \"prediction_steps\":{},\"meter_steps\":{},\"predicted_steps\":{},\
-                 \"cost_violations\":{},\"cost_bound_ratio\":{:.4},\
-                 \"splice_micros\":{:.2},\"full_relex_micros\":{:.2},\
-                 \"incremental_speedup\":{:.1},\"incremental_equal\":{},\
-                 \"reconciles\":{}}}",
-                r.name,
-                r.tokens,
-                r.null_tokens_per_sec,
-                r.observed_tokens_per_sec,
-                r.observer_overhead,
-                r.recovery_overhead,
-                r.decisions,
-                r.single_alternative,
-                r.sll_resolved,
-                r.failovers,
-                r.sll_fraction,
-                r.static_fast_path_hits,
-                r.static_fast_path_fraction,
-                r.decision_table_micros,
-                r.audit_micros,
-                r.cert_validate_micros,
-                r.cert_speedup,
-                r.cache_lookups,
-                r.cache_hits,
-                r.cache_hit_rate,
-                r.machine_steps,
-                r.prediction_steps,
-                r.meter_steps,
-                r.predicted_steps,
-                r.cost_violations,
-                r.cost_bound_ratio,
-                r.splice_micros,
-                r.full_relex_micros,
-                r.incremental_speedup,
-                r.incremental_equal,
-                r.reconciles
-            );
-        }
-        let _ = write!(
-            s,
-            "],\"overall_overhead\":{:.4},\"overall_recovery_overhead\":{:.4},\
-             \"batch_available\":{},\"batch_speedup_4\":{:.4},\"batch_equal\":{},\
-             \"overall_cert_speedup\":{:.1}}}",
-            self.overall_overhead,
-            self.overall_recovery_overhead,
-            self.batch_available,
-            self.batch_speedup_4,
-            self.batch_equal,
-            self.overall_cert_speedup
-        );
-        s
+        json::object(|w| {
+            w.key("rows").array(|w| {
+                for r in &self.rows {
+                    w.object(|w| {
+                        w.field("name", r.name)
+                            .field("tokens", r.tokens)
+                            .field("null_tokens_per_sec", Fixed(r.null_tokens_per_sec, 1))
+                            .field(
+                                "observed_tokens_per_sec",
+                                Fixed(r.observed_tokens_per_sec, 1),
+                            )
+                            .field("observer_overhead", Fixed(r.observer_overhead, 4))
+                            .field("recovery_overhead", Fixed(r.recovery_overhead, 4))
+                            .field("decisions", r.decisions)
+                            .field("single_alternative", r.single_alternative)
+                            .field("sll_resolved", r.sll_resolved)
+                            .field("failovers", r.failovers)
+                            .field("sll_fraction", Fixed(r.sll_fraction, 4))
+                            .field("static_fast_path_hits", r.static_fast_path_hits)
+                            .field(
+                                "static_fast_path_fraction",
+                                Fixed(r.static_fast_path_fraction, 4),
+                            )
+                            .field("decision_table_micros", Fixed(r.decision_table_micros, 1))
+                            .field("audit_micros", Fixed(r.audit_micros, 1))
+                            .field("cert_validate_micros", Fixed(r.cert_validate_micros, 1))
+                            .field("cert_speedup", Fixed(r.cert_speedup, 1))
+                            .field("cache_lookups", r.cache_lookups)
+                            .field("cache_hits", r.cache_hits)
+                            .field("cache_hit_rate", Fixed(r.cache_hit_rate, 4))
+                            .field("machine_steps", r.machine_steps)
+                            .field("prediction_steps", r.prediction_steps)
+                            .field("meter_steps", r.meter_steps)
+                            .field("predicted_steps", r.predicted_steps)
+                            .field("cost_violations", r.cost_violations)
+                            .field("cost_bound_ratio", Fixed(r.cost_bound_ratio, 4))
+                            .field("splice_micros", Fixed(r.splice_micros, 2))
+                            .field("full_relex_micros", Fixed(r.full_relex_micros, 2))
+                            .field("incremental_speedup", Fixed(r.incremental_speedup, 1))
+                            .field("incremental_equal", r.incremental_equal)
+                            .field("reconciles", r.reconciles);
+                    });
+                }
+            });
+            w.field("overall_overhead", Fixed(self.overall_overhead, 4))
+                .field(
+                    "overall_recovery_overhead",
+                    Fixed(self.overall_recovery_overhead, 4),
+                )
+                .field("batch_available", self.batch_available)
+                .field("batch_speedup_4", Fixed(self.batch_speedup_4, 4))
+                .field("batch_equal", self.batch_equal)
+                .field("overall_cert_speedup", Fixed(self.overall_cert_speedup, 1));
+        })
     }
 
     /// Compares this run's observer overhead against a committed baseline
@@ -1176,8 +1162,9 @@ impl ParseBench {
 }
 
 /// Pulls the first numeric value keyed by `key` out of a
-/// `ParseBench::to_json` document. A tiny purpose-built scanner — the
-/// workspace has no JSON parser dependency and the format is our own.
+/// `ParseBench::to_json` document. A tiny purpose-built scanner: the
+/// report holds floats, which the workspace's integer-only JSON reader
+/// (`costar_grammar::json`) rejects.
 fn extract_number(json: &str, key: &str) -> Option<f64> {
     let needle = format!("{:?}:", key);
     let at = json.find(&needle)? + needle.len();

@@ -1,15 +1,18 @@
-//! The `costar edit` script format: a minimal, strict JSON reader for
+//! The `costar edit` script format:
 //! `{"edits":[{"start":B,"end":B,"replacement":S},...]}`.
 //!
-//! The workspace carries no serialization dependency, so like every other
-//! JSON surface in the repo this is hand-rolled. The reader is
-//! deliberately strict — unknown keys, floats, trailing commas, or any
-//! syntax error fail with a byte-offset error message rather than being
-//! guessed around — and total: no input can make it panic.
+//! The text is read by the workspace's one JSON reader
+//! ([`costar_grammar::json`]), so any standard JSON a tool writes is
+//! accepted and a syntax error names its byte offset; this module only
+//! walks the schema. The walk is strict — the top level holds exactly
+//! `"edits"`, each edit exactly `"start"`, `"end"` and `"replacement"`,
+//! offsets are unsigned integers — and a schema error names the edit.
 //!
 //! Offsets in the script are **byte** offsets into the *current* source,
 //! i.e. each edit addresses the text as left by the previous edit, which
 //! is how editors emit change streams.
+
+use costar_grammar::json::{self, JsonValue};
 
 /// One edit from the script: replace bytes `start..end` with
 /// `replacement`.
@@ -25,186 +28,58 @@ pub struct ScriptEdit {
 
 /// Parses an edit script document. Returns the edits in script order.
 pub fn parse(text: &str) -> Result<Vec<ScriptEdit>, String> {
-    let mut p = Reader {
-        bytes: text.as_bytes(),
-        pos: 0,
+    let doc = json::parse(text).map_err(|e| e.to_string())?;
+    let edits = match &doc {
+        JsonValue::Obj(fields) => match fields.as_slice() {
+            [(key, JsonValue::Arr(edits))] if key == "edits" => edits,
+            _ => return Err("the script must hold exactly one key, \"edits\", an array".into()),
+        },
+        _ => return Err("the script must be a JSON object".into()),
     };
-    p.skip_ws();
-    p.expect(b'{')?;
-    p.skip_ws();
-    let key = p.string()?;
-    if key != "edits" {
-        return Err(format!("expected top-level key \"edits\", found {key:?}"));
-    }
-    p.skip_ws();
-    p.expect(b':')?;
-    p.skip_ws();
-    p.expect(b'[')?;
-    let mut edits = Vec::new();
-    p.skip_ws();
-    if p.peek() == Some(b']') {
-        p.pos += 1;
-    } else {
-        loop {
-            edits.push(p.edit()?);
-            p.skip_ws();
-            match p.bump() {
-                Some(b',') => p.skip_ws(),
-                Some(b']') => break,
-                _ => return Err(p.err("expected `,` or `]` after an edit")),
-            }
-        }
-    }
-    p.skip_ws();
-    p.expect(b'}')?;
-    p.skip_ws();
-    if p.pos != p.bytes.len() {
-        return Err(p.err("trailing characters after the edit script"));
-    }
-    Ok(edits)
+    edits
+        .iter()
+        .enumerate()
+        .map(|(i, e)| edit(e).map_err(|msg| format!("edit {i}: {msg}")))
+        .collect()
 }
 
-struct Reader<'a> {
-    bytes: &'a [u8],
-    pos: usize,
-}
-
-impl Reader<'_> {
-    fn err(&self, msg: &str) -> String {
-        format!("{msg} (at byte {})", self.pos)
-    }
-
-    fn peek(&self) -> Option<u8> {
-        self.bytes.get(self.pos).copied()
-    }
-
-    fn bump(&mut self) -> Option<u8> {
-        let b = self.peek()?;
-        self.pos += 1;
-        Some(b)
-    }
-
-    fn skip_ws(&mut self) {
-        while matches!(self.peek(), Some(b' ' | b'\t' | b'\n' | b'\r')) {
-            self.pos += 1;
-        }
-    }
-
-    fn expect(&mut self, want: u8) -> Result<(), String> {
-        if self.peek() == Some(want) {
-            self.pos += 1;
-            Ok(())
-        } else {
-            Err(self.err(&format!("expected `{}`", want as char)))
-        }
-    }
-
-    /// One `{"start":N,"end":N,"replacement":S}` object, keys in any
-    /// order, each required exactly once.
-    fn edit(&mut self) -> Result<ScriptEdit, String> {
-        self.expect(b'{')?;
-        let (mut start, mut end, mut replacement) = (None, None, None);
-        loop {
-            self.skip_ws();
-            let key = self.string()?;
-            self.skip_ws();
-            self.expect(b':')?;
-            self.skip_ws();
-            match key.as_str() {
-                "start" if start.is_none() => start = Some(self.number()?),
-                "end" if end.is_none() => end = Some(self.number()?),
-                "replacement" if replacement.is_none() => replacement = Some(self.string()?),
-                "start" | "end" | "replacement" => {
-                    return Err(self.err(&format!("duplicate key {key:?}")))
-                }
-                other => return Err(self.err(&format!("unknown edit key {other:?}"))),
+/// One `{"start":N,"end":N,"replacement":S}` object, keys in any order,
+/// each required exactly once.
+fn edit(v: &JsonValue) -> Result<ScriptEdit, String> {
+    let JsonValue::Obj(fields) = v else {
+        return Err("expected an object".into());
+    };
+    let (mut start, mut end, mut replacement) = (None, None, None);
+    for (key, value) in fields {
+        let first = match key.as_str() {
+            "start" => start.replace(offset(value)?).is_none(),
+            "end" => end.replace(offset(value)?).is_none(),
+            "replacement" => {
+                let text = value.as_str().ok_or("\"replacement\" must be a string")?;
+                replacement.replace(text.to_owned()).is_none()
             }
-            self.skip_ws();
-            match self.bump() {
-                Some(b',') => {}
-                Some(b'}') => break,
-                _ => return Err(self.err("expected `,` or `}` inside an edit")),
-            }
-        }
-        let (Some(start), Some(end), Some(replacement)) = (start, end, replacement) else {
-            return Err(self.err("an edit needs \"start\", \"end\", and \"replacement\""));
+            other => return Err(format!("unknown key {other:?}")),
         };
-        if end < start {
-            return Err(format!("edit range {start}..{end} is reversed"));
+        if !first {
+            return Err(format!("duplicate key {key:?}"));
         }
-        Ok(ScriptEdit {
-            start,
-            end,
-            replacement,
-        })
     }
+    let (Some(start), Some(end), Some(replacement)) = (start, end, replacement) else {
+        return Err("an edit needs \"start\", \"end\", and \"replacement\"".into());
+    };
+    if end < start {
+        return Err(format!("range {start}..{end} is reversed"));
+    }
+    Ok(ScriptEdit {
+        start,
+        end,
+        replacement,
+    })
+}
 
-    fn number(&mut self) -> Result<usize, String> {
-        let at = self.pos;
-        while matches!(self.peek(), Some(b'0'..=b'9')) {
-            self.pos += 1;
-        }
-        if self.pos == at {
-            return Err(self.err("expected an unsigned integer"));
-        }
-        std::str::from_utf8(&self.bytes[at..self.pos])
-            .ok()
-            .and_then(|s| s.parse().ok())
-            .ok_or_else(|| self.err("integer out of range"))
-    }
-
-    /// A JSON string with the escapes the schema needs: `\"`, `\\`,
-    /// `\/`, `\n`, `\t`, `\r`, and `\uXXXX` (no surrogate pairs — the
-    /// replacement text is arbitrary UTF-8, written directly).
-    fn string(&mut self) -> Result<String, String> {
-        self.expect(b'"')?;
-        let mut out = String::new();
-        loop {
-            match self.bump() {
-                None => return Err(self.err("unterminated string")),
-                Some(b'"') => return Ok(out),
-                Some(b'\\') => match self.bump() {
-                    Some(b'"') => out.push('"'),
-                    Some(b'\\') => out.push('\\'),
-                    Some(b'/') => out.push('/'),
-                    Some(b'n') => out.push('\n'),
-                    Some(b't') => out.push('\t'),
-                    Some(b'r') => out.push('\r'),
-                    Some(b'u') => {
-                        let mut code = 0u32;
-                        for _ in 0..4 {
-                            let d = self.bump().ok_or_else(|| self.err("truncated \\u"))?;
-                            let v = (d as char)
-                                .to_digit(16)
-                                .ok_or_else(|| self.err("bad \\u hex digit"))?;
-                            code = code * 16 + v;
-                        }
-                        out.push(
-                            char::from_u32(code)
-                                .ok_or_else(|| self.err("\\u escape is not a scalar value"))?,
-                        );
-                    }
-                    _ => return Err(self.err("unsupported escape")),
-                },
-                Some(b) if b < 0x20 => return Err(self.err("raw control byte in string")),
-                Some(b) => {
-                    // Byte-accurate UTF-8 passthrough: collect the full
-                    // encoded character starting at b.
-                    let char_start = self.pos - 1;
-                    let width = match b {
-                        0x00..=0x7f => 1,
-                        0xc0..=0xdf => 2,
-                        0xe0..=0xef => 3,
-                        _ => 4,
-                    };
-                    self.pos = (char_start + width).min(self.bytes.len());
-                    let s = std::str::from_utf8(&self.bytes[char_start..self.pos])
-                        .map_err(|_| self.err("invalid UTF-8 in string"))?;
-                    out.push_str(s);
-                }
-            }
-        }
-    }
+fn offset(v: &JsonValue) -> Result<usize, String> {
+    v.as_usize()
+        .ok_or_else(|| "offsets must be unsigned integers".to_owned())
 }
 
 #[cfg(test)]
@@ -263,5 +138,22 @@ mod tests {
         ] {
             assert!(parse(bad).is_err(), "accepted malformed script: {bad:?}");
         }
+    }
+
+    #[test]
+    fn syntax_errors_name_a_byte_offset() {
+        let err = parse(r#"{"edits":[{"start":}]}"#).unwrap_err();
+        assert!(err.ends_with("(at byte 19)"), "{err}");
+        let err =
+            parse(r#"{"edits":[{"start":1,"end":2,"replacement":"x","size":9}]}"#).unwrap_err();
+        assert!(err.starts_with("edit 0: unknown key"), "{err}");
+    }
+
+    #[test]
+    fn standard_escapes_decode() {
+        let edits =
+            parse(r#"{"edits":[{"start":0,"end":0,"replacement":"\"\ud83d\ude00\b\f\""}]}"#)
+                .unwrap();
+        assert_eq!(edits[0].replacement, "\"😀\u{8}\u{c}\"");
     }
 }

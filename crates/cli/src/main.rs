@@ -71,6 +71,7 @@ use costar::{
 };
 use costar_baselines::Ll1Parser;
 use costar_grammar::analysis::GrammarAnalysis;
+use costar_grammar::json::{self, JsonWriter};
 use costar_grammar::transform::eliminate_left_recursion;
 use costar_grammar::{Grammar, Token};
 use std::path::PathBuf;
@@ -268,7 +269,7 @@ fn load_analysis(
         .or(default_dir);
     let path = dir.map(|d| {
         let fp = costar_grammar::analysis::grammar_fingerprint(grammar);
-        (d.join(format!("{fp:016x}.json")), d)
+        (d.join(format!("{}.json", json::fingerprint_hex(fp))), d)
     });
     if !no_cache {
         if let Some((file, _)) = &path {
@@ -479,7 +480,12 @@ fn cmd_parse(
     // for: `{"stats":...,"recovery":...}` when both, the bare object
     // when only one (preserving each flag's standalone output shape).
     match (stats_json, recovery_json) {
-        (Some(s), Some(r)) => println!("{{\"stats\":{s},\"recovery\":{r}}}"),
+        (Some(s), Some(r)) => println!(
+            "{}",
+            json::object(|w| {
+                w.key("stats").raw(&s).key("recovery").raw(&r);
+            })
+        ),
         (Some(s), None) => println!("{s}"),
         (None, Some(r)) => println!("{r}"),
         (None, None) => {}
@@ -591,47 +597,40 @@ fn cmd_parse_batch(
     }
 
     if json_mode {
-        let mut doc = String::from("{\"files\":[");
-        for (i, item) in result.items.iter().enumerate() {
-            if i > 0 {
-                doc.push(',');
-            }
-            let outcome = match (&item.result, item.outcome()) {
-                (_, ParseOutcome::Unique(_)) => "unique",
-                (_, ParseOutcome::Ambig(_)) => "ambiguous",
-                (BatchItemResult::Recovered(_), ParseOutcome::Reject(_)) => "recovered",
-                (BatchItemResult::Plain(_), ParseOutcome::Reject(_)) => "reject",
-                (_, ParseOutcome::Error(_)) => "error",
-                (_, ParseOutcome::Aborted(_)) => "aborted",
-            };
-            doc.push_str(&format!(
-                "{{\"file\":\"{}\",\"tokens\":{},\"outcome\":\"{outcome}\",\"exit\":{}",
-                render::json_escape(&names[i]),
-                words[i].len(),
-                item.exit_code()
-            ));
-            if opts.stats == StatsMode::Json {
-                doc.push_str(&format!(",\"stats\":{}", item.metrics.to_json()));
-            }
-            if opts.recover == RecoverMode::Json {
-                if let BatchItemResult::Recovered(r) = &item.result {
-                    doc.push_str(&format!(
-                        ",\"recovery\":{}",
-                        render::recovery_report_json(g, r, words[i].len())
-                    ));
+        let doc = json::object(|w| {
+            w.key("files").array(|w| {
+                for (i, item) in result.items.iter().enumerate() {
+                    let outcome = match (&item.result, item.outcome()) {
+                        (_, ParseOutcome::Unique(_)) => "unique",
+                        (_, ParseOutcome::Ambig(_)) => "ambiguous",
+                        (BatchItemResult::Recovered(_), ParseOutcome::Reject(_)) => "recovered",
+                        (BatchItemResult::Plain(_), ParseOutcome::Reject(_)) => "reject",
+                        (_, ParseOutcome::Error(_)) => "error",
+                        (_, ParseOutcome::Aborted(_)) => "aborted",
+                    };
+                    w.object(|w| {
+                        w.field("file", &names[i])
+                            .field("tokens", words[i].len())
+                            .field("outcome", outcome)
+                            .field("exit", item.exit_code());
+                        if opts.stats == StatsMode::Json {
+                            w.key("stats").raw(&item.metrics.to_json());
+                        }
+                        if let (RecoverMode::Json, BatchItemResult::Recovered(r)) =
+                            (opts.recover, &item.result)
+                        {
+                            let report = render::recovery_report_json(g, r, words[i].len());
+                            w.key("recovery").raw(&report);
+                        }
+                    });
                 }
+            });
+            w.field("jobs", result.jobs)
+                .field("exit", result.exit_code());
+            if opts.stats == StatsMode::Json {
+                w.key("stats").raw(&result.metrics.to_json());
             }
-            doc.push('}');
-        }
-        doc.push_str(&format!(
-            "],\"jobs\":{},\"exit\":{}",
-            result.jobs,
-            result.exit_code()
-        ));
-        if opts.stats == StatsMode::Json {
-            doc.push_str(&format!(",\"stats\":{}", result.metrics.to_json()));
-        }
-        doc.push('}');
+        });
         println!("{doc}");
     }
 
@@ -720,28 +719,23 @@ impl EditRow {
         )
     }
 
-    fn to_json(&self, i: usize) -> String {
-        let mut s = format!(
-            "{{\"index\":{i},\"start\":{},\"end\":{},\"replacement_len\":{},\
-             \"tokens_relexed\":{},\"tokens_reused\":{},\"unchanged\":{},\
-             \"reused_parse\":{},\"relex_micros\":{},\"edit_micros\":{},\
-             \"outcome\":\"{}\"",
-            self.start,
-            self.end,
-            self.replacement_len,
-            self.tokens_relexed,
-            self.tokens_reused,
-            self.unchanged,
-            self.reused_parse,
-            self.relex_micros,
-            self.edit_micros,
-            self.outcome,
-        );
-        if let Some(ok) = self.oracle_ok {
-            s.push_str(&format!(",\"oracle_ok\":{ok}"));
-        }
-        s.push('}');
-        s
+    fn write_json(&self, w: &mut JsonWriter, i: usize) {
+        w.object(|w| {
+            w.field("index", i)
+                .field("start", self.start)
+                .field("end", self.end)
+                .field("replacement_len", self.replacement_len)
+                .field("tokens_relexed", self.tokens_relexed)
+                .field("tokens_reused", self.tokens_reused)
+                .field("unchanged", self.unchanged)
+                .field("reused_parse", self.reused_parse)
+                .field("relex_micros", self.relex_micros)
+                .field("edit_micros", self.edit_micros)
+                .field("outcome", self.outcome);
+            if let Some(ok) = self.oracle_ok {
+                w.field("oracle_ok", ok);
+            }
+        });
     }
 }
 
@@ -989,22 +983,20 @@ fn cmd_edit(
     );
 
     if json_mode {
-        let mut doc = format!(
-            "{{\"file\":\"{}\",\"lang\":\"{}\",\"incremental\":{incremental},\"edits\":[",
-            render::json_escape(file),
-            render::json_escape(language.name),
-        );
-        for (i, r) in rows.iter().enumerate() {
-            if i > 0 {
-                doc.push(',');
+        let doc = json::object(|w| {
+            w.field("file", file)
+                .field("lang", language.name)
+                .field("incremental", incremental);
+            w.key("edits").array(|w| {
+                for (i, r) in rows.iter().enumerate() {
+                    r.write_json(w, i);
+                }
+            });
+            if let Some(e) = &error {
+                w.field("error", e);
             }
-            doc.push_str(&r.to_json(i));
-        }
-        doc.push(']');
-        if let Some(e) = &error {
-            doc.push_str(&format!(",\"error\":\"{}\"", render::json_escape(e)));
-        }
-        doc.push_str(&format!(",\"exit\":{exit}}}"));
+            w.field("exit", exit);
+        });
         println!("{doc}");
     }
     Ok(ExitCode::from(exit))
@@ -1043,16 +1035,17 @@ fn cmd_lint(source: GrammarSource, format: LintFormat) -> ExitCode {
             }
         }
         LintFormat::Json => {
-            let items: Vec<String> = diags.iter().map(|d| d.to_json(&grammar)).collect();
-            let worst = costar_grammar::lint::worst_severity(&diags)
-                .map(|w| format!("\"{}\"", w.as_str()))
-                .unwrap_or_else(|| "null".to_owned());
-            println!(
-                "{{\"findings\":{},\"worst\":{},\"diagnostics\":[{}]}}",
-                diags.len(),
-                worst,
-                items.join(",")
-            );
+            let worst = costar_grammar::lint::worst_severity(&diags);
+            let doc = json::object(|w| {
+                w.field("findings", diags.len())
+                    .field("worst", worst.map(|w| w.as_str()));
+                w.key("diagnostics").array(|w| {
+                    for d in &diags {
+                        w.raw(&d.to_json(&grammar));
+                    }
+                });
+            });
+            println!("{doc}");
         }
     }
     if diags.is_empty() {

@@ -1,6 +1,7 @@
 //! Rendering grammars back to readable text (for `check --eliminate-lr`).
 
 use costar::{ParseError, RejectReason};
+use costar_grammar::json;
 use costar_grammar::{Grammar, Span, Symbol};
 
 /// Renders a span suffix (" (line L, column C)") when the tokens carried
@@ -85,23 +86,6 @@ pub fn describe_diagnostic(g: &Grammar, d: &costar::Diagnostic) -> String {
     out
 }
 
-/// Escapes a string for embedding in a JSON document.
-pub fn json_escape(s: &str) -> String {
-    let mut out = String::with_capacity(s.len());
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\r' => out.push_str("\\r"),
-            '\t' => out.push_str("\\t"),
-            c if (c as u32) < 0x20 => out.push_str(&format!("\\u{:04x}", c as u32)),
-            c => out.push(c),
-        }
-    }
-    out
-}
-
 /// Serializes a recovered parse as one machine-readable JSON object for
 /// `--recover=json`.
 pub fn recovery_report_json(g: &Grammar, r: &costar::RecoveredParse, num_tokens: usize) -> String {
@@ -112,35 +96,26 @@ pub fn recovery_report_json(g: &Grammar, r: &costar::RecoveredParse, num_tokens:
         costar::ParseOutcome::Aborted(_) => "aborted",
     };
     let skipped: usize = r.diagnostics.iter().map(|d| d.skipped).sum();
-    let mut out = format!(
-        "{{\"outcome\":\"{outcome}\",\"tokens\":{num_tokens},\"errors\":{},\"tokens_skipped\":{skipped},\"diagnostics\":[",
-        r.diagnostics.len()
-    );
-    for (i, d) in r.diagnostics.iter().enumerate() {
-        if i > 0 {
-            out.push(',');
-        }
-        let (line, col) = if d.span.has_position() {
-            (d.span.line.to_string(), d.span.col.to_string())
-        } else {
-            ("null".to_owned(), "null".to_owned())
-        };
-        let expected: Vec<String> = d
-            .expected
-            .iter()
-            .map(|t| format!("\"{}\"", json_escape(g.symbols().terminal_name(*t))))
-            .collect();
-        out.push_str(&format!(
-            "{{\"at\":{},\"line\":{line},\"col\":{col},\"message\":\"{}\",\"expected\":[{}],\"skipped\":{},\"popped\":{}}}",
-            d.at,
-            json_escape(&describe_reject(g, &d.reason)),
-            expected.join(","),
-            d.skipped,
-            d.popped
-        ));
-    }
-    out.push_str("]}");
-    out
+    json::object(|w| {
+        w.field("outcome", outcome)
+            .field("tokens", num_tokens)
+            .field("errors", r.diagnostics.len())
+            .field("tokens_skipped", skipped);
+        w.key("diagnostics").array(|w| {
+            for d in &r.diagnostics {
+                let located = d.span.has_position();
+                w.object(|w| {
+                    w.field("at", d.at)
+                        .field("line", located.then_some(d.span.line))
+                        .field("col", located.then_some(d.span.col))
+                        .field("message", describe_reject(g, &d.reason).as_str());
+                    w.key("expected")
+                        .values(d.expected.iter().map(|t| g.symbols().terminal_name(*t)));
+                    w.field("skipped", d.skipped).field("popped", d.popped);
+                });
+            }
+        });
+    })
 }
 
 /// Renders a parser error with symbol names resolved.

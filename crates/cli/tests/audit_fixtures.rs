@@ -95,6 +95,22 @@ fn certificate_schema_is_stable_against_goldens() {
     assert_matches_golden("audit_shadowed.ebnf", "audit_shadowed.golden.json");
 }
 
+/// The `costar-cost-v1` certificate is pinned the same way: it is the
+/// document embedded under the grammar cache's `"cost"` key.
+#[test]
+fn cost_certificate_schema_is_stable_against_goldens() {
+    for name in ["lookahead", "dead", "shadowed"] {
+        let out = Command::new(env!("CARGO_BIN_EXE_costar"))
+            .args(["cost", "--format=json", "--grammar"])
+            .arg(fixture(&format!("audit_{name}.ebnf")))
+            .output()
+            .expect("spawn costar");
+        let expected =
+            std::fs::read_to_string(fixture(&format!("cost_{name}.golden.json"))).expect("golden");
+        assert_eq!(stdout(&out).trim_end(), expected.trim_end(), "{name}");
+    }
+}
+
 #[test]
 fn missing_grammar_file_exits_two() {
     let out = audit(&[], "no_such_fixture.ebnf");

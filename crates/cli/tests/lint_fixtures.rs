@@ -94,6 +94,18 @@ fn json_format_clean_grammar() {
     assert!(text.contains("\"diagnostics\":[]"), "{text}");
 }
 
+/// The JSON report is a stability contract: each fixture's document
+/// must match its golden byte-for-byte.
+#[test]
+fn json_reports_match_goldens() {
+    for name in ["clean", "hidden_lr", "unproductive", "unreachable"] {
+        let out = lint(&["--format=json"], &format!("lint_{name}.ebnf"));
+        let expected =
+            std::fs::read_to_string(fixture(&format!("lint_{name}.golden.json"))).expect("golden");
+        assert_eq!(stdout(&out).trim_end(), expected.trim_end(), "{name}");
+    }
+}
+
 #[test]
 fn missing_grammar_file_exits_two() {
     let out = lint(&[], "no_such_fixture.ebnf");

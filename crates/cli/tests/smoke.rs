@@ -680,6 +680,39 @@ fn edit_error_contract_distinguishes_lex_from_bounds() {
 }
 
 #[test]
+fn edit_scripts_accept_standard_json_escapes() {
+    // What Python's `json.dumps` writes for an emoji replacement (a
+    // surrogate pair) and for a backspace (`\b`): both scripts are
+    // standard JSON, and both edits yield valid JSON documents.
+    let src = tmp_file("edit-esc-src", r#"{"a": 1}"#);
+    for (name, script) in [
+        (
+            "surrogates",
+            r#"{"edits": [{"start": 6, "end": 7, "replacement": "\"😀\""}]}"#,
+        ),
+        (
+            "backspace",
+            r#"{"edits": [{"start": 6, "end": 7, "replacement": "\"\b\""}]}"#,
+        ),
+    ] {
+        let script = tmp_file(&format!("edit-esc-{name}"), script);
+        let out = costar()
+            .args(["edit", "--lang", "json"])
+            .arg(&src)
+            .arg("--script")
+            .arg(&script)
+            .output()
+            .expect("spawn");
+        let stdout = String::from_utf8(out.stdout).expect("utf8");
+        let stderr = String::from_utf8(out.stderr).expect("utf8");
+        assert_eq!(out.status.code(), Some(0), "{name}: {stdout}{stderr}");
+        assert!(stdout.contains("final: unique"), "{name}: {stdout}");
+        let _ = std::fs::remove_file(script);
+    }
+    let _ = std::fs::remove_file(src);
+}
+
+#[test]
 fn edit_python_falls_back_to_full_retokenize() {
     // Python's INDENT/DEDENT synthesis is line-global, so `costar edit`
     // re-tokenizes from scratch per edit and says so.

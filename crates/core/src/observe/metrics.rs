@@ -3,8 +3,8 @@
 
 use super::{MachineOp, ParseObserver, PredictOutcome, PredictPhase};
 use crate::budget::AbortReason;
+use costar_grammar::json::{self, Fixed, JsonWriter};
 use costar_grammar::NonTerminal;
-use std::fmt::Write as _;
 use std::time::Instant;
 
 const BUCKETS: usize = 40;
@@ -89,25 +89,18 @@ impl Histogram {
             .collect()
     }
 
-    fn to_json(&self) -> String {
-        let mut s = String::from("{\"count\":");
-        let _ = write!(s, "{}", self.count);
-        let _ = write!(
-            s,
-            ",\"sum\":{},\"max\":{},\"mean\":{:.1}",
-            self.sum,
-            self.max,
-            self.mean()
-        );
-        s.push_str(",\"buckets\":[");
-        for (i, (lo, n)) in self.nonzero_buckets().iter().enumerate() {
-            if i > 0 {
-                s.push(',');
-            }
-            let _ = write!(s, "[{lo},{n}]");
-        }
-        s.push_str("]}");
-        s
+    fn write_json(&self, w: &mut JsonWriter) {
+        w.object(|w| {
+            w.field("count", self.count)
+                .field("sum", self.sum)
+                .field("max", self.max)
+                .field("mean", Fixed(self.mean(), 1));
+            w.key("buckets").array(|w| {
+                for (lo, n) in self.nonzero_buckets() {
+                    w.values([lo, n]);
+                }
+            });
+        });
     }
 }
 
@@ -330,74 +323,54 @@ impl ParseMetrics {
         }
     }
 
-    /// Serializes the metrics as a self-contained JSON object (no
-    /// dependencies; every field name matches the struct field).
+    /// Serializes the metrics as a self-contained JSON object (written by
+    /// `costar_grammar::json`; every field name matches the struct field).
     pub fn to_json(&self) -> String {
-        let mut s = String::with_capacity(1024);
-        s.push('{');
-        let _ = write!(s, "\"machine_steps\":{}", self.machine_steps);
-        let _ = write!(s, ",\"pushes\":{}", self.pushes);
-        let _ = write!(s, ",\"consumes\":{}", self.consumes);
-        let _ = write!(s, ",\"returns\":{}", self.returns);
-        let _ = write!(s, ",\"max_stack_height\":{}", self.max_stack_height);
-        let _ = write!(s, ",\"prediction_steps\":{}", self.prediction_steps);
-        let _ = write!(s, ",\"sll_steps\":{}", self.sll_steps);
-        let _ = write!(s, ",\"ll_steps\":{}", self.ll_steps);
-        let _ = write!(s, ",\"decisions\":{}", self.decisions);
-        let _ = write!(s, ",\"single_alternative\":{}", self.single_alternative);
-        let _ = write!(s, ",\"sll_resolved\":{}", self.sll_resolved);
-        let _ = write!(s, ",\"failovers\":{}", self.failovers);
-        let _ = write!(
-            s,
-            ",\"static_fast_path_hits\":{}",
-            self.static_fast_path_hits
-        );
-        let _ = write!(
-            s,
-            ",\"certificate_validations\":{}",
-            self.certificate_validations
-        );
-        let _ = write!(s, ",\"certificate_failures\":{}", self.certificate_failures);
-        let _ = write!(s, ",\"predicted_steps\":{}", self.predicted_steps);
-        let _ = write!(s, ",\"cost_checks\":{}", self.cost_checks);
-        let _ = write!(s, ",\"cost_violations\":{}", self.cost_violations);
-        let _ = write!(s, ",\"cost_bound_ratio\":{:.4}", self.cost_bound_ratio());
-        let _ = write!(s, ",\"cache_lookups\":{}", self.cache_lookups);
-        let _ = write!(s, ",\"cache_hits\":{}", self.cache_hits);
-        let _ = write!(s, ",\"cache_misses\":{}", self.cache_misses);
-        let _ = write!(s, ",\"cache_evictions\":{}", self.cache_evictions);
-        let _ = write!(s, ",\"cache_hit_rate\":{:.4}", self.cache_hit_rate());
-        let _ = write!(s, ",\"closure_steps\":{}", self.closure_steps);
-        let _ = write!(s, ",\"recoveries\":{}", self.recoveries);
-        let _ = write!(s, ",\"tokens_skipped\":{}", self.tokens_skipped);
-        let _ = write!(s, ",\"tokens_relexed\":{}", self.tokens_relexed);
-        let _ = write!(s, ",\"tokens_reused\":{}", self.tokens_reused);
-        let _ = write!(
-            s,
-            ",\"incremental_lex_micros\":{}",
-            self.incremental_lex_micros
-        );
-        let _ = write!(
-            s,
-            ",\"splice_reuse_fraction\":{:.4}",
-            self.splice_reuse_fraction()
-        );
-        match &self.abort {
-            Some(r) => {
-                let _ = write!(s, ",\"abort\":{:?}", r.to_string());
-            }
-            None => s.push_str(",\"abort\":null"),
-        }
-        let _ = write!(s, ",\"meter_steps\":{}", self.meter_steps);
-        let _ = write!(s, ",\"reconciles\":{}", self.reconciles());
-        let _ = write!(s, ",\"tokens\":{}", self.tokens);
-        let _ = write!(s, ",\"total_nanos\":{}", self.total_nanos);
-        let _ = write!(s, ",\"tokens_per_sec\":{:.1}", self.tokens_per_sec());
-        let _ = write!(s, ",\"sll_latency_ns\":{}", self.sll_latency_ns.to_json());
-        let _ = write!(s, ",\"ll_latency_ns\":{}", self.ll_latency_ns.to_json());
-        let _ = write!(s, ",\"lookahead_depth\":{}", self.lookahead_depth.to_json());
-        s.push('}');
-        s
+        json::object(|w| {
+            w.field("machine_steps", self.machine_steps)
+                .field("pushes", self.pushes)
+                .field("consumes", self.consumes)
+                .field("returns", self.returns)
+                .field("max_stack_height", self.max_stack_height)
+                .field("prediction_steps", self.prediction_steps)
+                .field("sll_steps", self.sll_steps)
+                .field("ll_steps", self.ll_steps)
+                .field("decisions", self.decisions)
+                .field("single_alternative", self.single_alternative)
+                .field("sll_resolved", self.sll_resolved)
+                .field("failovers", self.failovers)
+                .field("static_fast_path_hits", self.static_fast_path_hits)
+                .field("certificate_validations", self.certificate_validations)
+                .field("certificate_failures", self.certificate_failures)
+                .field("predicted_steps", self.predicted_steps)
+                .field("cost_checks", self.cost_checks)
+                .field("cost_violations", self.cost_violations)
+                .field("cost_bound_ratio", Fixed(self.cost_bound_ratio(), 4))
+                .field("cache_lookups", self.cache_lookups)
+                .field("cache_hits", self.cache_hits)
+                .field("cache_misses", self.cache_misses)
+                .field("cache_evictions", self.cache_evictions)
+                .field("cache_hit_rate", Fixed(self.cache_hit_rate(), 4))
+                .field("closure_steps", self.closure_steps)
+                .field("recoveries", self.recoveries)
+                .field("tokens_skipped", self.tokens_skipped)
+                .field("tokens_relexed", self.tokens_relexed)
+                .field("tokens_reused", self.tokens_reused)
+                .field("incremental_lex_micros", self.incremental_lex_micros)
+                .field(
+                    "splice_reuse_fraction",
+                    Fixed(self.splice_reuse_fraction(), 4),
+                )
+                .field("abort", self.abort.as_ref().map(|r| r.to_string()).as_ref())
+                .field("meter_steps", self.meter_steps)
+                .field("reconciles", self.reconciles())
+                .field("tokens", self.tokens)
+                .field("total_nanos", self.total_nanos)
+                .field("tokens_per_sec", Fixed(self.tokens_per_sec(), 1));
+            self.sll_latency_ns.write_json(w.key("sll_latency_ns"));
+            self.ll_latency_ns.write_json(w.key("ll_latency_ns"));
+            self.lookahead_depth.write_json(w.key("lookahead_depth"));
+        })
     }
 }
 

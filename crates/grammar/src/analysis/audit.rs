@@ -63,7 +63,7 @@
 //! silently recomputes: a corrupted or tampered certificate costs a
 //! recompute, never a wrong bound.
 
-use crate::analysis::cache::grammar_fingerprint;
+use crate::analysis::cache::{grammar_fingerprint, push_opt_word, read_opt_word};
 use crate::analysis::productivity::Productivity;
 use crate::analysis::sll_graph::{
     distinct_alts, has_eof_conflict, moves_by_terminal, static_closure, CapHit, StaticConfig,
@@ -71,10 +71,9 @@ use crate::analysis::sll_graph::{
 };
 use crate::analysis::stable_frames::StableFrames;
 use crate::grammar::{Grammar, ProdId};
-use crate::json::JsonValue;
+use crate::json::{self, JsonValue};
 use crate::symbol::{NonTerminal, Symbol, Terminal};
 use std::collections::{BTreeMap, BTreeSet, VecDeque};
-use std::fmt::Write as _;
 
 /// Schema tag of the serialized certificate; bump whenever the shape
 /// changes so stale documents fail cleanly.
@@ -603,87 +602,41 @@ pub(crate) fn is_shadowed(g: &Grammar, p: ProdId, q: ProdId) -> bool {
 /// grammar-analysis disk cache and printed by `costar audit
 /// --format=json`.
 pub fn to_cert_json(g: &Grammar, t: &AuditTable) -> String {
-    let mut out = String::with_capacity(1024);
-    let _ = write!(
-        out,
-        "{{\"schema\":\"{CERT_SCHEMA}\",\"fingerprint\":\"{:016x}\",\"decisions\":[",
-        grammar_fingerprint(g)
-    );
-    let mut first_row = true;
-    for d in t.iter() {
-        if !first_row {
-            out.push(',');
-        }
-        first_row = false;
-        let _ = write!(out, "{{\"nt\":{},\"k\":", d.nonterminal.index());
-        push_opt_usize(&mut out, d.k);
-        let _ = write!(out, ",\"gs\":{},\"pairs\":[", d.graph_states);
-        for (i, pa) in d.pairs.iter().enumerate() {
-            if i > 0 {
-                out.push(',');
+    json::object(|w| {
+        w.header(CERT_SCHEMA, grammar_fingerprint(g));
+        w.key("decisions").array(|w| {
+            for d in t.iter() {
+                w.object(|w| {
+                    w.field("nt", d.nonterminal.index())
+                        .field("k", d.k)
+                        .field("gs", d.graph_states);
+                    w.key("pairs").array(|w| {
+                        for pa in &d.pairs {
+                            w.object(|w| {
+                                w.field("a", pa.a.index())
+                                    .field("b", pa.b.index())
+                                    .field("k", pa.k);
+                                push_opt_word(w.key("collide"), pa.collide.as_deref());
+                                push_opt_word(w.key("resolve"), pa.resolve.as_deref());
+                            });
+                        }
+                    });
+                    w.key("dead").values(d.dead.iter().map(|p| p.index()));
+                    w.key("shadowed").array(|w| {
+                        for (p, q) in &d.shadowed {
+                            w.values([p.index(), q.index()]);
+                        }
+                    });
+                });
             }
-            let _ = write!(
-                out,
-                "{{\"a\":{},\"b\":{},\"k\":",
-                pa.a.index(),
-                pa.b.index()
-            );
-            push_opt_usize(&mut out, pa.k);
-            out.push_str(",\"collide\":");
-            push_opt_word(&mut out, pa.collide.as_deref());
-            out.push_str(",\"resolve\":");
-            push_opt_word(&mut out, pa.resolve.as_deref());
-            out.push('}');
-        }
-        out.push_str("],\"dead\":[");
-        for (i, p) in d.dead.iter().enumerate() {
-            if i > 0 {
-                out.push(',');
-            }
-            let _ = write!(out, "{}", p.index());
-        }
-        out.push_str("],\"shadowed\":[");
-        for (i, (p, q)) in d.shadowed.iter().enumerate() {
-            if i > 0 {
-                out.push(',');
-            }
-            let _ = write!(out, "[{},{}]", p.index(), q.index());
-        }
-        out.push_str("]}");
-    }
-    out.push_str("]}");
-    out
-}
-
-fn push_opt_usize(out: &mut String, v: Option<usize>) {
-    match v {
-        None => out.push_str("null"),
-        Some(n) => {
-            let _ = write!(out, "{n}");
-        }
-    }
-}
-
-fn push_opt_word(out: &mut String, w: Option<&[Terminal]>) {
-    match w {
-        None => out.push_str("null"),
-        Some(ts) => {
-            out.push('[');
-            for (i, t) in ts.iter().enumerate() {
-                if i > 0 {
-                    out.push(',');
-                }
-                let _ = write!(out, "{}", t.index());
-            }
-            out.push(']');
-        }
-    }
+        });
+    })
 }
 
 /// Parses a standalone `costar-cert-v1` document from text. Structural
 /// validation only; pair with [`replay`] for the semantic half.
 pub fn parse_cert_json(g: &Grammar, text: &str) -> Option<AuditTable> {
-    cert_from_json(g, &crate::json::parse_json(text)?)
+    cert_from_json(g, &json::parse(text).ok()?)
 }
 
 /// Parses a `costar-cert-v1` document (the value under the cache's
@@ -691,92 +644,50 @@ pub fn parse_cert_json(g: &Grammar, text: &str) -> Option<AuditTable> {
 /// only — schema, fingerprint, bounds-checked indices, ascending unique
 /// rows; the semantic half lives in [`replay`]. `None` on any mismatch.
 pub(crate) fn cert_from_json(g: &Grammar, v: &JsonValue) -> Option<AuditTable> {
-    if v.get("schema")?.as_str()? != CERT_SCHEMA {
-        return None;
-    }
-    if v.get("fingerprint")?.as_str()? != format!("{:016x}", grammar_fingerprint(g)) {
-        return None;
-    }
+    json::check_header(v, CERT_SCHEMA, grammar_fingerprint(g))?;
     let nts = g.num_nonterminals();
     let ts = g.num_terminals();
     let prods = g.num_productions();
     let mut by_nt: Vec<Option<AuditInfo>> = vec![None; nts];
     let mut last_nt: Option<usize> = None;
     for row in v.get("decisions")?.as_arr()? {
-        let nt = row.get("nt")?.as_usize()?;
-        if nt >= nts || last_nt.is_some_and(|prev| nt <= prev) {
+        let nt = row.get("nt")?.as_index(nts)?;
+        if last_nt.is_some_and(|prev| nt <= prev) {
             return None;
         }
         last_nt = Some(nt);
         let mut pairs = Vec::new();
         for pr in row.get("pairs")?.as_arr()? {
-            let a = pr.get("a")?.as_usize()?;
-            let b = pr.get("b")?.as_usize()?;
-            if a >= prods || b >= prods {
-                return None;
-            }
             pairs.push(PairAudit {
-                a: ProdId::from_index(a),
-                b: ProdId::from_index(b),
-                k: read_opt_usize(pr.get("k")?)?,
+                a: ProdId::from_index(pr.get("a")?.as_index(prods)?),
+                b: ProdId::from_index(pr.get("b")?.as_index(prods)?),
+                k: pr.get("k")?.nullable(JsonValue::as_usize)?,
                 collide: read_opt_word(pr.get("collide")?, ts)?,
                 resolve: read_opt_word(pr.get("resolve")?, ts)?,
             });
         }
-        let mut dead = Vec::new();
-        for p in row.get("dead")?.as_arr()? {
-            let i = p.as_usize()?;
-            if i >= prods {
-                return None;
-            }
-            dead.push(ProdId::from_index(i));
-        }
         let mut shadowed = Vec::new();
         for pair in row.get("shadowed")?.as_arr()? {
-            let pq = pair.as_arr()?;
-            if pq.len() != 2 {
+            let [p, q] = pair.as_indices(prods)?[..] else {
                 return None;
-            }
-            let p = pq.first()?.as_usize()?;
-            let q = pq.get(1)?.as_usize()?;
-            if p >= prods || q >= prods {
-                return None;
-            }
+            };
             shadowed.push((ProdId::from_index(p), ProdId::from_index(q)));
         }
         by_nt[nt] = Some(AuditInfo {
             nonterminal: NonTerminal::from_index(nt),
-            k: read_opt_usize(row.get("k")?)?,
+            k: row.get("k")?.nullable(JsonValue::as_usize)?,
             graph_states: row.get("gs")?.as_usize()?,
             pairs,
-            dead,
+            dead: row
+                .get("dead")?
+                .as_indices(prods)?
+                .into_iter()
+                .map(ProdId::from_index)
+                .collect(),
             shadowed,
         });
     }
     Some(AuditTable::from_parts(by_nt))
-}
-
-fn read_opt_usize(v: &JsonValue) -> Option<Option<usize>> {
-    if v.is_null() {
-        Some(None)
-    } else {
-        Some(Some(v.as_usize()?))
-    }
-}
-
-fn read_opt_word(v: &JsonValue, ts: usize) -> Option<Option<Vec<Terminal>>> {
-    if v.is_null() {
-        return Some(None);
-    }
-    let mut word = Vec::new();
-    for it in v.as_arr()? {
-        let i = it.as_usize()?;
-        if i >= ts {
-            return None;
-        }
-        word.push(Terminal::from_index(i));
-    }
-    Some(Some(word))
 }
 
 // ---------------------------------------------------------------------
@@ -892,7 +803,6 @@ mod tests {
     use super::*;
     use crate::analysis::nullable::NullableSet;
     use crate::grammar::GrammarBuilder;
-    use crate::json::parse_json;
 
     fn setup(
         build: impl FnOnce(&mut GrammarBuilder),
@@ -1056,7 +966,7 @@ mod tests {
             gb.start("S");
         });
         let json = to_cert_json(&g, &t);
-        let v = parse_json(&json).unwrap();
+        let v = json::parse(&json).unwrap();
         let back = cert_from_json(&g, &v).unwrap();
         assert_eq!(t, back);
         assert!(replay(&g, &sf, &pr, &back));
@@ -1125,9 +1035,9 @@ mod tests {
         });
         let json = to_cert_json(&g, &t);
         let bad = json.replace(CERT_SCHEMA, "costar-cert-v0");
-        assert!(cert_from_json(&g, &parse_json(&bad).unwrap()).is_none());
+        assert!(cert_from_json(&g, &json::parse(&bad).unwrap()).is_none());
         let bad = json.replace("\"dead\":[]", "\"dead\":[99]");
-        assert!(cert_from_json(&g, &parse_json(&bad).unwrap()).is_none());
+        assert!(cert_from_json(&g, &json::parse(&bad).unwrap()).is_none());
     }
 
     #[test]

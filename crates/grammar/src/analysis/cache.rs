@@ -32,10 +32,9 @@ use crate::analysis::{
     Reachability, StableDests, StableFrames, SyncSets,
 };
 use crate::grammar::{Grammar, ProdId};
-use crate::json::{parse_json, JsonValue};
+use crate::json::{self, JsonValue, JsonWriter};
 use crate::sets::{NtSet, TermSet};
 use crate::symbol::{NonTerminal, Terminal};
-use std::fmt::Write as _;
 
 /// Schema tag stamped into every cache file; bump it whenever the
 /// serialized shape changes so old files fail cleanly. v2 added the
@@ -116,227 +115,129 @@ impl Fnv {
 
 /// Renders the complete analysis bundle as a deterministic JSON document.
 pub fn to_cache_json(g: &Grammar, a: &GrammarAnalysis) -> String {
-    let mut out = String::with_capacity(4096);
-    let _ = write!(
-        out,
-        "{{\"schema\":\"{CACHE_SCHEMA}\",\"fingerprint\":\"{:016x}\",\"nts\":{},\"ts\":{},\"prods\":{}",
-        grammar_fingerprint(g),
-        g.num_nonterminals(),
-        g.num_terminals(),
-        g.num_productions(),
-    );
-
-    out.push_str(",\"nullable\":");
-    push_index_array(&mut out, a.nullable.as_set().iter().map(|x| x.index()));
-
-    out.push_str(",\"first\":[");
-    for (i, s) in a.first.sets().iter().enumerate() {
-        if i > 0 {
-            out.push(',');
-        }
-        push_index_array(&mut out, s.iter().map(|t| t.index()));
-    }
-    out.push(']');
-
-    let (follow_sets, follow_eof) = a.follow.parts();
-    out.push_str(",\"follow\":{\"sets\":[");
-    for (i, s) in follow_sets.iter().enumerate() {
-        if i > 0 {
-            out.push(',');
-        }
-        push_index_array(&mut out, s.iter().map(|t| t.index()));
-    }
-    out.push_str("],\"eof\":");
-    push_bool_array(&mut out, follow_eof.iter().copied());
-    out.push('}');
-
-    out.push_str(",\"left_recursion\":{\"set\":");
-    push_index_array(
-        &mut out,
-        a.left_recursion
-            .left_recursive_set()
-            .iter()
-            .map(|x| x.index()),
-    );
-    out.push_str(",\"edges\":[");
-    for (i, es) in a.left_recursion.edge_lists().iter().enumerate() {
-        if i > 0 {
-            out.push(',');
-        }
-        push_index_array(&mut out, es.iter().copied());
-    }
-    out.push_str("]}");
-
-    out.push_str(",\"reachability\":{\"set\":");
-    push_index_array(
-        &mut out,
-        a.reachability.reachable_set().iter().map(|x| x.index()),
-    );
-    out.push_str(",\"parent\":");
-    push_opt_index_array(
-        &mut out,
-        a.reachability
-            .parents()
-            .iter()
-            .map(|p| p.map(|x| x.index())),
-    );
-    out.push('}');
-
-    out.push_str(",\"productivity\":{\"set\":");
-    push_index_array(
-        &mut out,
-        a.productivity.productive_set().iter().map(|x| x.index()),
-    );
-    out.push_str(",\"witness\":");
-    push_opt_index_array(
-        &mut out,
-        a.productivity
-            .witnesses()
-            .iter()
-            .map(|w| w.map(|p| p.index())),
-    );
-    out.push('}');
-
-    out.push_str(",\"stable_frames\":[");
-    for (i, d) in a.stable_frames.all_dests().iter().enumerate() {
-        if i > 0 {
-            out.push(',');
-        }
-        out.push_str("{\"pos\":[");
-        for (j, p) in d.positions.iter().enumerate() {
-            if j > 0 {
-                out.push(',');
+    json::object(|w| {
+        w.header(CACHE_SCHEMA, grammar_fingerprint(g))
+            .field("nts", g.num_nonterminals())
+            .field("ts", g.num_terminals())
+            .field("prods", g.num_productions());
+        w.key("nullable")
+            .values(a.nullable.as_set().iter().map(|x| x.index()));
+        w.key("first").array(|w| push_term_sets(w, a.first.sets()));
+        let (follow_sets, follow_eof) = a.follow.parts();
+        w.key("follow").object(|w| {
+            w.key("sets").array(|w| push_term_sets(w, follow_sets));
+            w.key("eof").values(follow_eof.iter().copied());
+        });
+        let lr = &a.left_recursion;
+        w.key("left_recursion").object(|w| {
+            w.key("set")
+                .values(lr.left_recursive_set().iter().map(|x| x.index()));
+            w.key("edges").array(|w| {
+                for es in lr.edge_lists() {
+                    w.values(es.iter().copied());
+                }
+            });
+        });
+        let re = &a.reachability;
+        w.key("reachability").object(|w| {
+            w.key("set")
+                .values(re.reachable_set().iter().map(|x| x.index()));
+            w.key("parent")
+                .values(re.parents().iter().map(|p| p.map(|x| x.index())));
+        });
+        let pr = &a.productivity;
+        w.key("productivity").object(|w| {
+            w.key("set")
+                .values(pr.productive_set().iter().map(|x| x.index()));
+            w.key("witness")
+                .values(pr.witnesses().iter().map(|p| p.map(|p| p.index())));
+        });
+        w.key("stable_frames").array(|w| {
+            for d in a.stable_frames.all_dests() {
+                w.object(|w| {
+                    w.key("pos").array(|w| {
+                        for p in &d.positions {
+                            w.values([p.production.index(), p.dot as usize]);
+                        }
+                    });
+                    w.field("end", d.can_end);
+                });
             }
-            let _ = write!(out, "[{},{}]", p.production.index(), p.dot);
-        }
-        let _ = write!(out, "],\"end\":{}}}", d.can_end);
-    }
-    out.push(']');
-
-    out.push_str(",\"decisions\":[");
-    for (i, row) in a.decisions.rows().iter().enumerate() {
-        if i > 0 {
-            out.push(',');
-        }
-        match row {
-            None => out.push_str("null"),
-            Some(d) => push_decision(&mut out, d),
-        }
-    }
-    out.push(']');
-
-    out.push_str(",\"sync\":{\"sets\":[");
-    for (i, (s, _)) in a.sync.iter().enumerate() {
-        if i > 0 {
-            out.push(',');
-        }
-        push_index_array(&mut out, s.iter().map(|t| t.index()));
-    }
-    out.push_str("],\"eof\":");
-    push_bool_array(&mut out, a.sync.iter().map(|(_, e)| e));
-    out.push('}');
-
-    // The audit certificate is embedded verbatim: the value under
-    // "audit" is exactly the standalone `costar-cert-v1` document, so
-    // `costar audit --format=json` output and the cached form stay
-    // byte-identical.
-    out.push_str(",\"audit\":");
-    out.push_str(&audit::to_cert_json(g, &a.audit));
-
-    // Likewise the cost certificate: the value under "cost" is exactly
-    // the standalone `costar-cost-v1` document `costar cost --json`
-    // emits.
-    out.push_str(",\"cost\":");
-    out.push_str(&cost::to_cost_json(g, &a.cost));
-
-    out.push('}');
-    out
+        });
+        w.key("decisions").array(|w| {
+            for row in a.decisions.rows() {
+                match row {
+                    None => w.value(None::<u8>),
+                    Some(d) => w.object(|w| push_decision(w, d)),
+                };
+            }
+        });
+        w.key("sync").object(|w| {
+            w.key("sets")
+                .array(|w| push_term_sets(w, a.sync.iter().map(|(s, _)| s)));
+            w.key("eof").values(a.sync.iter().map(|(_, e)| e));
+        });
+        // The certificates are embedded verbatim: the values under
+        // "audit" and "cost" are exactly the standalone `costar-cert-v1`
+        // and `costar-cost-v1` documents, so `costar audit` / `costar
+        // cost --format=json` output and the cached forms stay
+        // byte-identical.
+        w.key("audit").raw(&audit::to_cert_json(g, &a.audit));
+        w.key("cost").raw(&cost::to_cost_json(g, &a.cost));
+    })
 }
 
-fn push_decision(out: &mut String, d: &DecisionInfo) {
-    let _ = write!(
-        out,
-        "{{\"class\":\"{}\",\"alts\":{},\"gs\":{},\"la\":",
-        d.class.as_str(),
-        d.alternatives,
-        d.graph_states,
-    );
+fn push_decision(w: &mut JsonWriter, d: &DecisionInfo) {
+    w.field("class", d.class.as_str())
+        .field("alts", d.alternatives)
+        .field("gs", d.graph_states)
+        .key("la");
     match &d.lookahead {
-        None => out.push_str("null"),
-        Some(map) => {
-            out.push_str("{\"by\":");
-            push_opt_index_array(
-                out,
-                map.terminal_entries().iter().map(|e| e.map(|p| p.index())),
-            );
-            out.push_str(",\"eof\":");
-            push_opt_index(out, map.for_eof().map(|p| p.index()));
-            out.push('}');
+        None => w.value(None::<u8>),
+        Some(map) => w.object(|w| {
+            w.key("by")
+                .values(map.terminal_entries().iter().map(|e| e.map(|p| p.index())));
+            w.field("eof", map.for_eof().map(|p| p.index()));
+        }),
+    };
+    w.key("conflicts").array(|w| {
+        for c in &d.conflicts {
+            w.object(|w| {
+                w.field("a", c.a.index())
+                    .field("b", c.b.index())
+                    .field("t", c.lookahead.map(|t| t.index()));
+                push_opt_word(w.key("dp"), c.distinguishing_prefix.as_deref());
+                push_opt_word(w.key("aw"), c.ambiguous_word.as_deref());
+            });
         }
-    }
-    out.push_str(",\"conflicts\":[");
-    for (i, c) in d.conflicts.iter().enumerate() {
-        if i > 0 {
-            out.push(',');
-        }
-        let _ = write!(out, "{{\"a\":{},\"b\":{},\"t\":", c.a.index(), c.b.index());
-        push_opt_index(out, c.lookahead.map(|t| t.index()));
-        out.push_str(",\"dp\":");
-        push_opt_word(out, c.distinguishing_prefix.as_deref());
-        out.push_str(",\"aw\":");
-        push_opt_word(out, c.ambiguous_word.as_deref());
-        out.push('}');
-    }
-    out.push_str("]}");
+    });
 }
 
-fn push_index_array(out: &mut String, items: impl Iterator<Item = usize>) {
-    out.push('[');
-    for (i, n) in items.enumerate() {
-        if i > 0 {
-            out.push(',');
-        }
-        let _ = write!(out, "{n}");
-    }
-    out.push(']');
-}
-
-fn push_opt_index(out: &mut String, v: Option<usize>) {
-    match v {
-        None => out.push_str("null"),
-        Some(n) => {
-            let _ = write!(out, "{n}");
-        }
+fn push_term_sets<'a>(w: &mut JsonWriter, sets: impl IntoIterator<Item = &'a TermSet>) {
+    for s in sets {
+        w.values(s.iter().map(|t| t.index()));
     }
 }
 
-fn push_opt_index_array(out: &mut String, items: impl Iterator<Item = Option<usize>>) {
-    out.push('[');
-    for (i, v) in items.enumerate() {
-        if i > 0 {
-            out.push(',');
-        }
-        push_opt_index(out, v);
-    }
-    out.push(']');
+/// A terminal word as an array of indices, or `null`.
+pub(super) fn push_opt_word(w: &mut JsonWriter, word: Option<&[Terminal]>) {
+    match word {
+        None => w.value(None::<u8>),
+        Some(ts) => w.values(ts.iter().map(|t| t.index())),
+    };
 }
 
-fn push_bool_array(out: &mut String, items: impl Iterator<Item = bool>) {
-    out.push('[');
-    for (i, b) in items.enumerate() {
-        if i > 0 {
-            out.push(',');
-        }
-        out.push_str(if b { "true" } else { "false" });
-    }
-    out.push(']');
-}
-
-fn push_opt_word(out: &mut String, w: Option<&[Terminal]>) {
-    match w {
-        None => out.push_str("null"),
-        Some(ts) => push_index_array(out, ts.iter().map(|t| t.index())),
-    }
+/// Reads what [`push_opt_word`] wrote: `Some(None)` for `null`, `None`
+/// on any malformed or out-of-bounds entry.
+pub(super) fn read_opt_word(v: &JsonValue, ts: usize) -> Option<Option<Vec<Terminal>>> {
+    v.nullable(|v| {
+        Some(
+            v.as_indices(ts)?
+                .into_iter()
+                .map(Terminal::from_index)
+                .collect(),
+        )
+    })
 }
 
 // ---------------------------------------------------------------------
@@ -348,14 +249,8 @@ fn push_opt_word(out: &mut String, w: Option<&[Terminal]>) {
 /// dimensions, out-of-bounds index, malformed JSON — returns `None`; the
 /// caller then recomputes from scratch.
 pub fn from_cache_json(g: &Grammar, text: &str) -> Option<GrammarAnalysis> {
-    let v = parse_json(text)?;
-    if v.get("schema")?.as_str()? != CACHE_SCHEMA {
-        return None;
-    }
-    let want_fp = format!("{:016x}", grammar_fingerprint(g));
-    if v.get("fingerprint")?.as_str()? != want_fp {
-        return None;
-    }
+    let v = json::parse(text).ok()?;
+    json::check_header(&v, CACHE_SCHEMA, grammar_fingerprint(g))?;
     let nts = g.num_nonterminals();
     let ts = g.num_terminals();
     let prods = g.num_productions();
@@ -366,59 +261,44 @@ pub fn from_cache_json(g: &Grammar, text: &str) -> Option<GrammarAnalysis> {
         return None;
     }
 
+    let term_sets = |v: &JsonValue| read_rows(v, nts, |r| read_term_set(r, ts));
+    let bools = |v: &JsonValue| read_rows(v, nts, JsonValue::as_bool);
     let nullable = NullableSet::from_parts(read_nt_set(v.get("nullable")?, nts)?);
-    let first = FirstSets::from_parts(read_term_set_vec(v.get("first")?, nts, ts)?);
+    let first = FirstSets::from_parts(term_sets(v.get("first")?)?);
 
     let fo = v.get("follow")?;
-    let follow = FollowSets::from_parts(
-        read_term_set_vec(fo.get("sets")?, nts, ts)?,
-        read_bool_vec(fo.get("eof")?, nts)?,
-    );
+    let follow = FollowSets::from_parts(term_sets(fo.get("sets")?)?, bools(fo.get("eof")?)?);
 
     let lr = v.get("left_recursion")?;
-    let lr_edges_json = lr.get("edges")?.as_arr()?;
-    if lr_edges_json.len() != nts {
-        return None;
-    }
-    let mut edges = Vec::with_capacity(nts);
-    for row in lr_edges_json {
-        edges.push(read_index_vec(row, nts)?);
-    }
-    let left_recursion = LeftRecursion::from_parts(read_nt_set(lr.get("set")?, nts)?, edges);
+    let left_recursion = LeftRecursion::from_parts(
+        read_nt_set(lr.get("set")?, nts)?,
+        read_rows(lr.get("edges")?, nts, |r| r.as_indices(nts))?,
+    );
 
     let re = v.get("reachability")?;
     let reachability = Reachability::from_parts(
         read_nt_set(re.get("set")?, nts)?,
-        read_opt_index_vec(re.get("parent")?, nts, nts)?
-            .into_iter()
-            .map(|o| o.map(NonTerminal::from_index))
-            .collect(),
+        read_rows(re.get("parent")?, nts, |r| {
+            r.nullable(|p| p.as_index(nts).map(NonTerminal::from_index))
+        })?,
     );
 
     let pr = v.get("productivity")?;
     let productivity = Productivity::from_parts(
         read_nt_set(pr.get("set")?, nts)?,
-        read_opt_index_vec(pr.get("witness")?, nts, prods)?
-            .into_iter()
-            .map(|o| o.map(ProdId::from_index))
-            .collect(),
+        read_rows(pr.get("witness")?, nts, |r| {
+            r.nullable(|p| p.as_index(prods).map(ProdId::from_index))
+        })?,
     );
 
-    let sf_rows = v.get("stable_frames")?.as_arr()?;
-    if sf_rows.len() != nts {
-        return None;
-    }
-    let mut dests = Vec::with_capacity(nts);
-    for row in sf_rows {
+    let stable_frames = StableFrames::from_parts(read_rows(v.get("stable_frames")?, nts, |row| {
         let mut positions = Vec::new();
         for p in row.get("pos")?.as_arr()? {
-            let pair = p.as_arr()?;
-            if pair.len() != 2 {
+            let [prod, dot] = p.as_arr()? else {
                 return None;
-            }
-            let prod = pair.first()?.as_usize()?;
-            let dot = pair.get(1)?.as_usize()?;
-            if prod >= prods || dot > g.production(ProdId::from_index(prod)).rhs().len() {
+            };
+            let (prod, dot) = (prod.as_index(prods)?, dot.as_usize()?);
+            if dot > g.production(ProdId::from_index(prod)).rhs().len() {
                 return None;
             }
             positions.push(Position {
@@ -426,37 +306,25 @@ pub fn from_cache_json(g: &Grammar, text: &str) -> Option<GrammarAnalysis> {
                 dot: u32::try_from(dot).ok()?,
             });
         }
-        dests.push(StableDests {
+        Some(StableDests {
             positions,
             can_end: row.get("end")?.as_bool()?,
-        });
-    }
-    let stable_frames = StableFrames::from_parts(dests);
+        })
+    })?);
 
     let dec_rows = v.get("decisions")?.as_arr()?;
     if dec_rows.len() != nts {
         return None;
     }
-    let mut by_nt = Vec::with_capacity(nts);
-    for (i, row) in dec_rows.iter().enumerate() {
-        if row.is_null() {
-            by_nt.push(None);
-        } else {
-            by_nt.push(Some(read_decision(
-                row,
-                NonTerminal::from_index(i),
-                ts,
-                prods,
-            )?));
-        }
-    }
+    let by_nt = dec_rows
+        .iter()
+        .enumerate()
+        .map(|(i, row)| row.nullable(|r| read_decision(r, NonTerminal::from_index(i), ts, prods)))
+        .collect::<Option<_>>()?;
     let decisions = DecisionTable::from_parts(by_nt);
 
     let sy = v.get("sync")?;
-    let sync = SyncSets::from_parts(
-        read_term_set_vec(sy.get("sets")?, nts, ts)?,
-        read_bool_vec(sy.get("eof")?, nts)?,
-    );
+    let sync = SyncSets::from_parts(term_sets(sy.get("sets")?)?, bools(sy.get("eof")?)?);
 
     // The embedded certificate is never trusted structurally alone: its
     // witnesses are replayed against the live grammar (a few closure
@@ -498,26 +366,13 @@ fn read_decision(row: &JsonValue, x: NonTerminal, ts: usize, prods: usize) -> Op
         "needs-full-allstar" => DecisionClass::NeedsFullAllStar,
         _ => return None,
     };
-    let la = row.get("la")?;
-    let lookahead = if la.is_null() {
-        None
-    } else {
-        let by = read_opt_index_vec(la.get("by")?, ts, prods)?
-            .into_iter()
-            .map(|o| o.map(ProdId::from_index))
-            .collect();
-        let eof = la.get("eof")?;
-        let eof = if eof.is_null() {
-            None
-        } else {
-            let p = eof.as_usize()?;
-            if p >= prods {
-                return None;
-            }
-            Some(ProdId::from_index(p))
-        };
-        Some(LookaheadMap::from_parts(by, eof))
-    };
+    let lookahead = row.get("la")?.nullable(|la| {
+        let by = read_rows(la.get("by")?, ts, |e| {
+            e.nullable(|p| p.as_index(prods).map(ProdId::from_index))
+        })?;
+        let eof = la.get("eof")?.nullable(|p| p.as_index(prods))?;
+        Some(LookaheadMap::from_parts(by, eof.map(ProdId::from_index)))
+    })?;
     // The lookahead map exists exactly for LL(1) decisions; anything else
     // is a corrupt file.
     if lookahead.is_some() != (class == DecisionClass::Ll1) {
@@ -525,25 +380,13 @@ fn read_decision(row: &JsonValue, x: NonTerminal, ts: usize, prods: usize) -> Op
     }
     let mut conflicts = Vec::new();
     for c in row.get("conflicts")?.as_arr()? {
-        let a = c.get("a")?.as_usize()?;
-        let b = c.get("b")?.as_usize()?;
-        if a >= prods || b >= prods {
-            return None;
-        }
-        let t = c.get("t")?;
-        let lookahead_t = if t.is_null() {
-            None
-        } else {
-            let ti = t.as_usize()?;
-            if ti >= ts {
-                return None;
-            }
-            Some(Terminal::from_index(ti))
-        };
         conflicts.push(ConflictPair {
-            a: ProdId::from_index(a),
-            b: ProdId::from_index(b),
-            lookahead: lookahead_t,
+            a: ProdId::from_index(c.get("a")?.as_index(prods)?),
+            b: ProdId::from_index(c.get("b")?.as_index(prods)?),
+            lookahead: c
+                .get("t")?
+                .nullable(|t| t.as_index(ts))?
+                .map(Terminal::from_index),
             distinguishing_prefix: read_opt_word(c.get("dp")?, ts)?,
             ambiguous_word: read_opt_word(c.get("aw")?, ts)?,
         });
@@ -558,38 +401,9 @@ fn read_decision(row: &JsonValue, x: NonTerminal, ts: usize, prods: usize) -> Op
     })
 }
 
-/// `Some(Some(word))` for an array, `Some(None)` for `null`, `None` on
-/// any malformed or out-of-bounds entry.
-fn read_opt_word(v: &JsonValue, ts: usize) -> Option<Option<Vec<Terminal>>> {
-    if v.is_null() {
-        return Some(None);
-    }
-    let mut word = Vec::new();
-    for it in v.as_arr()? {
-        let i = it.as_usize()?;
-        if i >= ts {
-            return None;
-        }
-        word.push(Terminal::from_index(i));
-    }
-    Some(Some(word))
-}
-
-fn read_index_vec(v: &JsonValue, bound: usize) -> Option<Vec<usize>> {
-    let mut out = Vec::new();
-    for it in v.as_arr()? {
-        let i = it.as_usize()?;
-        if i >= bound {
-            return None;
-        }
-        out.push(i);
-    }
-    Some(out)
-}
-
 fn read_nt_set(v: &JsonValue, nts: usize) -> Option<NtSet> {
     let mut s = NtSet::with_capacity(nts);
-    for i in read_index_vec(v, nts)? {
+    for i in v.as_indices(nts)? {
         s.insert(NonTerminal::from_index(i));
     }
     Some(s)
@@ -597,47 +411,23 @@ fn read_nt_set(v: &JsonValue, nts: usize) -> Option<NtSet> {
 
 fn read_term_set(v: &JsonValue, ts: usize) -> Option<TermSet> {
     let mut s = TermSet::with_capacity(ts);
-    for i in read_index_vec(v, ts)? {
+    for i in v.as_indices(ts)? {
         s.insert(Terminal::from_index(i));
     }
     Some(s)
 }
 
-fn read_term_set_vec(v: &JsonValue, nts: usize, ts: usize) -> Option<Vec<TermSet>> {
-    let rows = v.as_arr()?;
-    if rows.len() != nts {
-        return None;
-    }
-    rows.iter().map(|r| read_term_set(r, ts)).collect()
-}
-
-fn read_bool_vec(v: &JsonValue, n: usize) -> Option<Vec<bool>> {
-    let items = v.as_arr()?;
-    if items.len() != n {
-        return None;
-    }
-    items.iter().map(JsonValue::as_bool).collect()
-}
-
-/// Fixed-length array of `num | null`, each number `< bound`.
-fn read_opt_index_vec(v: &JsonValue, len: usize, bound: usize) -> Option<Vec<Option<usize>>> {
+/// A fixed-length array of `len` items, each read by `read`.
+fn read_rows<T>(
+    v: &JsonValue,
+    len: usize,
+    read: impl Fn(&JsonValue) -> Option<T>,
+) -> Option<Vec<T>> {
     let items = v.as_arr()?;
     if items.len() != len {
         return None;
     }
-    let mut out = Vec::with_capacity(len);
-    for it in items {
-        if it.is_null() {
-            out.push(None);
-        } else {
-            let i = it.as_usize()?;
-            if i >= bound {
-                return None;
-            }
-            out.push(Some(i));
-        }
-    }
-    Some(out)
+    items.iter().map(read).collect()
 }
 
 // ---------------------------------------------------------------------
@@ -732,6 +522,18 @@ mod tests {
         }
     }
 
+    /// The cache document's exact bytes: a file written by an earlier
+    /// build must stay a cache hit, so any change here is a schema change.
+    #[test]
+    fn fig2_cache_document_is_pinned() {
+        let g = fig2();
+        let json = to_cache_json(&g, &GrammarAnalysis::compute(&g));
+        assert_eq!(json, FIG2_CACHE);
+        assert!(from_cache_json(&g, FIG2_CACHE).is_some());
+    }
+
+    const FIG2_CACHE: &str = r#"{"schema":"costar-gcache-v3","fingerprint":"8e7539c87d78a0b9","nts":2,"ts":4,"prods":4,"nullable":[],"first":[[2,3],[2,3]],"follow":{"sets":[[],[0,1]],"eof":[true,false]},"left_recursion":{"set":[],"edges":[[1,1],[]]},"reachability":{"set":[0,1],"parent":[null,0]},"productivity":{"set":[0,1],"witness":[0,3]},"stable_frames":[{"pos":[],"end":true},{"pos":[[0,1],[1,1]],"end":false}],"decisions":[{"class":"sll-safe","alts":2,"gs":4,"la":null,"conflicts":[{"a":0,"b":1,"t":2,"dp":[3,0],"aw":null}]},{"class":"ll1","alts":2,"gs":0,"la":{"by":[null,null,2,3],"eof":null},"conflicts":[]}],"sync":{"sets":[[2,3],[0,1,2,3]],"eof":[true,false]},"audit":{"schema":"costar-cert-v1","fingerprint":"8e7539c87d78a0b9","decisions":[{"nt":0,"k":null,"gs":4,"pairs":[{"a":0,"b":1,"k":null,"collide":null,"resolve":null}],"dead":[],"shadowed":[]},{"nt":1,"k":1,"gs":3,"pairs":[{"a":2,"b":3,"k":1,"collide":[],"resolve":[2]}],"dead":[],"shadowed":[]}]},"cost":{"schema":"costar-cost-v1","fingerprint":"8e7539c87d78a0b9","nonterminals":2,"max_rhs_nts":1,"epsilon_max":0,"nullable_hazard":false,"pushes_per_epoch":2,"k_max":1,"unbounded":[0],"superlinear":[],"linear":false,"a":0,"b":0}}"#;
+
     #[test]
     fn fingerprint_tracks_grammar_content() {
         let g1 = fig2();
@@ -775,8 +577,8 @@ mod tests {
         let bad = json.replace(CACHE_SCHEMA, "costar-gcache-v0");
         assert!(from_cache_json(&g, &bad).is_none());
         // Tampered fingerprint.
-        let fp = format!("{:016x}", grammar_fingerprint(&g));
-        let bad = json.replace(&fp, &format!("{:016x}", !grammar_fingerprint(&g)));
+        let fp = json::fingerprint_hex(grammar_fingerprint(&g));
+        let bad = json.replace(&fp, &json::fingerprint_hex(!grammar_fingerprint(&g)));
         assert!(from_cache_json(&g, &bad).is_none());
         // Out-of-bounds index smuggled into the nullable set.
         let bad = json.replace("\"nullable\":[", "\"nullable\":[999,");

@@ -66,7 +66,7 @@ use crate::analysis::cache::grammar_fingerprint;
 use crate::analysis::left_recursion::LeftRecursion;
 use crate::analysis::nullable::NullableSet;
 use crate::grammar::Grammar;
-use crate::json::{parse_json, JsonValue};
+use crate::json::{self, JsonValue};
 use crate::sets::NtSet;
 use crate::symbol::{NonTerminal, Symbol};
 
@@ -329,85 +329,41 @@ fn superlinear_set(
         .collect()
 }
 
-fn push_nt_array(out: &mut String, key: &str, nts: &[NonTerminal]) {
-    out.push('"');
-    out.push_str(key);
-    out.push_str("\":[");
-    for (i, x) in nts.iter().enumerate() {
-        if i > 0 {
-            out.push(',');
-        }
-        out.push_str(&x.index().to_string());
-    }
-    out.push(']');
-}
-
 /// Serializes the cost model as the fingerprint-pinned `costar-cost-v1`
 /// certificate — the exact form embedded under the grammar cache's
 /// `"cost"` key and emitted by `costar cost --json`.
 pub fn to_cost_json(g: &Grammar, c: &CostModel) -> String {
-    let mut out = String::with_capacity(256);
-    out.push_str("{\"schema\":\"");
-    out.push_str(COST_SCHEMA);
-    out.push_str("\",\"fingerprint\":\"");
-    out.push_str(&format!("{:016x}", grammar_fingerprint(g)));
-    out.push_str("\",\"nonterminals\":");
-    out.push_str(&c.nonterminals.to_string());
-    out.push_str(",\"max_rhs_nts\":");
-    out.push_str(&c.max_rhs_nts.to_string());
-    out.push_str(",\"epsilon_max\":");
-    out.push_str(&c.epsilon_max.to_string());
-    out.push_str(",\"nullable_hazard\":");
-    out.push_str(if c.nullable_hazard { "true" } else { "false" });
-    out.push_str(",\"pushes_per_epoch\":");
-    out.push_str(&c.pushes_per_epoch.to_string());
-    out.push_str(",\"k_max\":");
-    out.push_str(&c.k_max.to_string());
-    out.push(',');
-    push_nt_array(&mut out, "unbounded", &c.unbounded);
-    out.push(',');
-    push_nt_array(&mut out, "superlinear", &c.superlinear);
-    out.push_str(",\"linear\":");
-    out.push_str(if c.is_linear() { "true" } else { "false" });
-    out.push_str(",\"a\":");
-    out.push_str(&c.a.to_string());
-    out.push_str(",\"b\":");
-    out.push_str(&c.b.to_string());
-    out.push('}');
-    out
+    json::object(|w| {
+        w.header(COST_SCHEMA, grammar_fingerprint(g))
+            .field("nonterminals", c.nonterminals)
+            .field("max_rhs_nts", c.max_rhs_nts)
+            .field("epsilon_max", c.epsilon_max)
+            .field("nullable_hazard", c.nullable_hazard)
+            .field("pushes_per_epoch", c.pushes_per_epoch)
+            .field("k_max", c.k_max);
+        w.key("unbounded")
+            .values(c.unbounded.iter().map(|x| x.index()));
+        w.key("superlinear")
+            .values(c.superlinear.iter().map(|x| x.index()));
+        w.field("linear", c.is_linear())
+            .field("a", c.a)
+            .field("b", c.b);
+    })
 }
 
 fn read_nt_list(g: &Grammar, v: &JsonValue) -> Option<Vec<NonTerminal>> {
-    let arr = v.as_arr()?;
-    let mut out = Vec::with_capacity(arr.len());
-    let mut prev: Option<usize> = None;
-    for item in arr {
-        let i = item.as_usize()?;
-        if i >= g.num_nonterminals() {
-            return None;
-        }
-        // Ascending and duplicate-free, as the writer emits.
-        if let Some(p) = prev {
-            if i <= p {
-                return None;
-            }
-        }
-        prev = Some(i);
-        out.push(NonTerminal::from_index(i));
-    }
-    Some(out)
+    let ids = v.as_indices(g.num_nonterminals())?;
+    // Ascending and duplicate-free, as the writer emits.
+    ids.windows(2)
+        .all(|pair| pair[0] < pair[1])
+        .then(|| ids.into_iter().map(NonTerminal::from_index).collect())
 }
 
 /// Structural parse of a cost certificate value: schema and fingerprint
 /// must match, indices must be in range, lists ascending. Semantic
 /// validity is established separately by [`replay`].
 pub(crate) fn cost_from_json(g: &Grammar, v: &JsonValue) -> Option<CostModel> {
-    if v.get("schema")?.as_str()? != COST_SCHEMA {
-        return None;
-    }
-    if v.get("fingerprint")?.as_str()? != format!("{:016x}", grammar_fingerprint(g)) {
-        return None;
-    }
+    json::check_header(v, COST_SCHEMA, grammar_fingerprint(g))?;
     let model = CostModel {
         nonterminals: v.get("nonterminals")?.as_u64()?,
         max_rhs_nts: v.get("max_rhs_nts")?.as_u64()?,
@@ -430,7 +386,7 @@ pub(crate) fn cost_from_json(g: &Grammar, v: &JsonValue) -> Option<CostModel> {
 /// Parses a standalone `costar-cost-v1` document (as emitted by
 /// [`to_cost_json`] or `costar cost --json`) against `g`.
 pub fn parse_cost_json(g: &Grammar, text: &str) -> Option<CostModel> {
-    cost_from_json(g, &parse_json(text)?)
+    cost_from_json(g, &json::parse(text).ok()?)
 }
 
 /// Replays a cost certificate instead of trusting it: recomputes the

@@ -42,7 +42,7 @@ use crate::analysis::nullable::NullableSet;
 use crate::analysis::sll_graph::{self, GraphOutcome};
 use crate::analysis::stable_frames::StableFrames;
 use crate::grammar::{Grammar, ProdId};
-use crate::lint::json_string;
+use crate::json::{self, JsonWriter};
 use crate::symbol::{NonTerminal, Symbol, Terminal};
 use std::collections::{BTreeSet, VecDeque};
 
@@ -245,69 +245,55 @@ impl DecisionTable {
     /// `costar analyze --format=json` report).
     pub fn to_json(&self, g: &Grammar) -> String {
         let stats = self.stats();
-        let mut out = String::new();
-        out.push_str("{\"schema\":\"costar-analyze-v1\",\"stats\":{");
-        out.push_str(&format!(
-            "\"decision_points\":{},\"ll1\":{},\"sll_safe\":{},\"needs_full_allstar\":{},\"ambiguous\":{},\"lookahead_entries\":{}",
-            stats.decision_points,
-            stats.ll1,
-            stats.sll_safe,
-            stats.needs_full,
-            stats.ambiguous,
-            stats.lookahead_entries,
-        ));
-        out.push_str("},\"decisions\":[");
-        let mut first_row = true;
-        for d in self.iter() {
-            if !first_row {
-                out.push(',');
-            }
-            first_row = false;
-            let name = g.symbols().nonterminal_name(d.nonterminal);
-            out.push_str(&format!(
-                "{{\"nonterminal\":{},\"class\":{},\"alternatives\":{},\"graph_states\":{},\"lookahead_entries\":{},\"conflicts\":[",
-                json_string(name),
-                json_string(d.class.as_str()),
-                d.alternatives,
-                d.graph_states,
-                d.lookahead.as_ref().map_or(0, LookaheadMap::entries),
-            ));
-            let mut first_conflict = true;
-            for c in &d.conflicts {
-                if !first_conflict {
-                    out.push(',');
+        let names = g.symbols();
+        let push_word = |w: &mut JsonWriter, word: Option<&[Terminal]>| {
+            match word {
+                None => w.value(None::<u8>),
+                Some(ts) => w.values(ts.iter().map(|&t| names.terminal_name(t))),
+            };
+        };
+        json::object(|w| {
+            w.field("schema", "costar-analyze-v1");
+            w.key("stats").object(|w| {
+                w.field("decision_points", stats.decision_points)
+                    .field("ll1", stats.ll1)
+                    .field("sll_safe", stats.sll_safe)
+                    .field("needs_full_allstar", stats.needs_full)
+                    .field("ambiguous", stats.ambiguous)
+                    .field("lookahead_entries", stats.lookahead_entries);
+            });
+            w.key("decisions").array(|w| {
+                for d in self.iter() {
+                    w.object(|w| {
+                        w.field("nonterminal", names.nonterminal_name(d.nonterminal))
+                            .field("class", d.class.as_str())
+                            .field("alternatives", d.alternatives)
+                            .field("graph_states", d.graph_states)
+                            .field(
+                                "lookahead_entries",
+                                d.lookahead.as_ref().map_or(0, LookaheadMap::entries),
+                            );
+                        w.key("conflicts").array(|w| {
+                            for c in &d.conflicts {
+                                w.object(|w| {
+                                    w.field("a", g.render_production(c.a).as_str())
+                                        .field("b", g.render_production(c.b).as_str())
+                                        .field(
+                                            "lookahead",
+                                            c.lookahead.map(|t| names.terminal_name(t)),
+                                        );
+                                    push_word(
+                                        w.key("distinguishing_prefix"),
+                                        c.distinguishing_prefix.as_deref(),
+                                    );
+                                    push_word(w.key("ambiguous_word"), c.ambiguous_word.as_deref());
+                                });
+                            }
+                        });
+                    });
                 }
-                first_conflict = false;
-                out.push_str(&format!(
-                    "{{\"a\":{},\"b\":{},\"lookahead\":{},\"distinguishing_prefix\":{},\"ambiguous_word\":{}}}",
-                    json_string(&g.render_production(c.a)),
-                    json_string(&g.render_production(c.b)),
-                    match c.lookahead {
-                        Some(t) => json_string(g.symbols().terminal_name(t)),
-                        None => "null".to_string(),
-                    },
-                    json_word(g, c.distinguishing_prefix.as_deref()),
-                    json_word(g, c.ambiguous_word.as_deref()),
-                ));
-            }
-            out.push_str("]}");
-        }
-        out.push_str("]}");
-        out
-    }
-}
-
-/// Renders an optional terminal word as a JSON array of names, or `null`.
-fn json_word(g: &Grammar, word: Option<&[Terminal]>) -> String {
-    match word {
-        None => "null".to_string(),
-        Some(ts) => {
-            let names: Vec<String> = ts
-                .iter()
-                .map(|&t| json_string(g.symbols().terminal_name(t)))
-                .collect();
-            format!("[{}]", names.join(","))
-        }
+            });
+        })
     }
 }
 

@@ -57,7 +57,7 @@
 pub mod analysis;
 mod derivation;
 mod grammar;
-mod json;
+pub mod json;
 pub mod lint;
 pub mod sampler;
 mod sets;

@@ -45,6 +45,7 @@
 
 use crate::analysis::{DecisionClass, GrammarAnalysis};
 use crate::grammar::{Grammar, ProdId};
+use crate::json;
 use crate::symbol::{NonTerminal, Terminal};
 use std::collections::HashMap;
 use std::fmt;
@@ -344,39 +345,17 @@ impl Diagnostic {
 
     /// Renders the finding as one JSON object.
     pub fn to_json(&self, g: &Grammar) -> String {
-        let mut out = String::from("{");
-        out.push_str(&format!("\"code\":\"{}\"", self.code.as_str()));
-        out.push_str(&format!(",\"severity\":\"{}\"", self.severity.as_str()));
-        out.push_str(&format!(
-            ",\"nonterminal\":{}",
-            json_string(g.symbols().nonterminal_name(self.nonterminal))
-        ));
-        out.push_str(&format!(",\"message\":{}", json_string(&self.message)));
-        match self.render_witness(g) {
-            Some(w) => out.push_str(&format!(",\"witness\":{}", json_string(&w))),
-            None => out.push_str(",\"witness\":null"),
-        }
-        out.push('}');
-        out
+        json::object(|w| {
+            w.field("code", self.code.as_str())
+                .field("severity", self.severity.as_str())
+                .field(
+                    "nonterminal",
+                    g.symbols().nonterminal_name(self.nonterminal),
+                )
+                .field("message", self.message.as_str())
+                .field("witness", self.render_witness(g).as_deref());
+        })
     }
-}
-
-pub(crate) fn json_string(s: &str) -> String {
-    let mut out = String::with_capacity(s.len() + 2);
-    out.push('"');
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\t' => out.push_str("\\t"),
-            '\r' => out.push_str("\\r"),
-            c if (c as u32) < 0x20 => out.push_str(&format!("\\u{:04x}", c as u32)),
-            c => out.push(c),
-        }
-    }
-    out.push('"');
-    out
 }
 
 /// Runs every lint over the grammar, most severe findings first (ties
