@@ -35,9 +35,12 @@ fn stderr(out: &Output) -> String {
 /// schema change must be deliberate (regenerate the golden and bump the
 /// `schema` tag if the shape changed incompatibly).
 fn assert_matches_golden(grammar: &str, golden: &str) {
-    let out = analyze(&["--format=json"], grammar);
+    assert_stdout_is_golden(&analyze(&["--format=json"], grammar), golden, grammar);
+}
+
+fn assert_stdout_is_golden(out: &Output, golden: &str, label: &str) {
     let expected = std::fs::read_to_string(fixture(golden)).expect("read golden");
-    assert_eq!(stdout(&out).trim_end(), expected.trim_end(), "{grammar}");
+    assert_eq!(stdout(out).trim_end(), expected.trim_end(), "{label}");
 }
 
 #[test]
@@ -76,6 +79,20 @@ fn json_schema_is_stable_against_goldens() {
     assert_matches_golden("analyze_ll1.ebnf", "analyze_ll1.golden.json");
     assert_matches_golden("analyze_sll_safe.ebnf", "analyze_sll_safe.golden.json");
     assert_matches_golden("analyze_ambiguous.ebnf", "analyze_ambiguous.golden.json");
+}
+
+/// The bundled languages are pinned the same way. Unlike the tiny
+/// fixtures above, DOT and Python hit the closure graph's exploration
+/// caps, so these goldens also pin which cap fires where.
+#[test]
+fn builtin_language_reports_are_stable_against_goldens() {
+    for lang in ["json", "xml", "dot", "python"] {
+        let out = Command::new(env!("CARGO_BIN_EXE_costar"))
+            .args(["analyze", "--lang", lang, "--format=json"])
+            .output()
+            .expect("spawn costar");
+        assert_stdout_is_golden(&out, &format!("analyze_lang_{lang}.golden.json"), lang);
+    }
 }
 
 #[test]

@@ -37,9 +37,12 @@ fn stderr(out: &Output) -> String {
 /// `costar-cert-v1` tag if the shape changed incompatibly), because the
 /// cache loader replays this exact document.
 fn assert_matches_golden(grammar: &str, golden: &str) {
-    let out = audit(&["--format=json"], grammar);
+    assert_stdout_is_golden(&audit(&["--format=json"], grammar), golden, grammar);
+}
+
+fn assert_stdout_is_golden(out: &Output, golden: &str, label: &str) {
     let expected = std::fs::read_to_string(fixture(golden)).expect("read golden");
-    assert_eq!(stdout(&out).trim_end(), expected.trim_end(), "{grammar}");
+    assert_eq!(stdout(out).trim_end(), expected.trim_end(), "{label}");
 }
 
 #[test]
@@ -105,9 +108,24 @@ fn cost_certificate_schema_is_stable_against_goldens() {
             .arg(fixture(&format!("audit_{name}.ebnf")))
             .output()
             .expect("spawn costar");
-        let expected =
-            std::fs::read_to_string(fixture(&format!("cost_{name}.golden.json"))).expect("golden");
-        assert_eq!(stdout(&out).trim_end(), expected.trim_end(), "{name}");
+        assert_stdout_is_golden(&out, &format!("cost_{name}.golden.json"), name);
+    }
+}
+
+/// Both certificates of every bundled language are pinned as well: DOT
+/// and Python hit the pair graphs' exploration caps, which the fixture
+/// grammars above never do.
+#[test]
+fn builtin_language_certificates_are_stable_against_goldens() {
+    for lang in ["json", "xml", "dot", "python"] {
+        for command in ["audit", "cost"] {
+            let out = Command::new(env!("CARGO_BIN_EXE_costar"))
+                .args([command, "--lang", lang, "--format=json"])
+                .output()
+                .expect("spawn costar");
+            let golden = format!("{command}_lang_{lang}.golden.json");
+            assert_stdout_is_golden(&out, &golden, &golden);
+        }
     }
 }
 
