@@ -39,7 +39,7 @@
 
 use crate::analysis::first_follow::{ll1_selects, FirstSets, FollowSets};
 use crate::analysis::nullable::NullableSet;
-use crate::analysis::sll_graph::{self, GraphOutcome};
+use crate::analysis::sll_graph::{Automata, GraphOutcome};
 use crate::analysis::stable_frames::StableFrames;
 use crate::grammar::{Grammar, ProdId};
 use crate::json::{self, JsonWriter};
@@ -186,10 +186,11 @@ impl DecisionTable {
         follow: &FollowSets,
         stable_frames: &StableFrames,
     ) -> Self {
+        let mut auto = Automata::new(g, stable_frames);
         let by_nt = g
             .symbols()
             .nonterminals()
-            .map(|x| classify(g, nullable, first, follow, stable_frames, x))
+            .map(|x| classify(g, nullable, first, follow, &mut auto, x))
             .collect();
         DecisionTable { by_nt }
     }
@@ -404,7 +405,7 @@ fn classify(
     nullable: &NullableSet,
     first: &FirstSets,
     follow: &FollowSets,
-    stable_frames: &StableFrames,
+    auto: &mut Automata,
     x: NonTerminal,
 ) -> Option<DecisionInfo> {
     let alts = g.alternatives(x);
@@ -417,7 +418,7 @@ fn classify(
     for (i, &p) in alts.iter().enumerate() {
         for &q in &alts[i + 1..] {
             if let Some(lookahead) = select_conflict(g, nullable, first, follow, p, q) {
-                let pair = sll_graph::explore(g, stable_frames, &[p, q]);
+                let pair = auto.explore(&[p, q]);
                 conflicts.push(ConflictPair {
                     a: p,
                     b: q,
@@ -457,7 +458,7 @@ fn classify(
     }
 
     // Not LL(1): ask the closure graph whether SLL can ever conflict.
-    let report = sll_graph::explore(g, stable_frames, alts);
+    let report = auto.explore(alts);
     let class = match report.outcome {
         GraphOutcome::ConflictFree => DecisionClass::SllSafe,
         GraphOutcome::Conflict | GraphOutcome::Bounded => DecisionClass::NeedsFullAllStar,

@@ -40,6 +40,9 @@ mod left_recursion;
 mod nullable;
 mod productivity;
 mod reachability;
+#[cfg(test)]
+#[allow(clippy::disallowed_methods, clippy::disallowed_macros)]
+mod reference;
 mod sll_graph;
 mod stable_frames;
 mod sync;

@@ -19,7 +19,6 @@
 use crate::analysis::nullable::NullableSet;
 use crate::grammar::{Grammar, ProdId};
 use crate::symbol::{NonTerminal, Symbol};
-use std::collections::BTreeSet;
 
 /// A grammar position: the dot sits before `rhs(production)[dot]`.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
@@ -73,6 +72,10 @@ impl StableFrames {
     ///   `(p, j)` without consuming input;
     /// * `FS[Z]` — stable positions reachable from the start of any of
     ///   `Z`'s right-hand sides (the push case of closure).
+    ///
+    /// Every set is a fixed-width bitset in one arena: bit 0 is
+    /// `can_end`, bit `1 + i` the `i`-th stable position in `(production,
+    /// dot)` order, so reading the bits in order yields sorted positions.
     pub fn compute(g: &Grammar, nullable: &NullableSet) -> Self {
         let num_nts = g.num_nonterminals();
         let num_prods = g.num_productions();
@@ -85,37 +88,29 @@ impl StableFrames {
         let num_sf = sf_base[num_prods];
         let sf_index = |p: ProdId, j: usize| sf_base[p.index()] + j;
 
-        #[derive(Default, Clone, PartialEq)]
-        struct SetVal {
-            positions: BTreeSet<Position>,
-            can_end: bool,
-        }
-
-        impl SetVal {
-            fn union_from(&mut self, other: &SetVal) -> bool {
-                let before = (self.positions.len(), self.can_end);
-                self.positions.extend(other.positions.iter().copied());
-                self.can_end |= other.can_end;
-                before != (self.positions.len(), self.can_end)
-            }
-        }
-
-        let mut sd: Vec<SetVal> = vec![SetVal::default(); num_nts];
-        let mut sf: Vec<SetVal> = vec![SetVal::default(); num_sf];
-        let mut fs: Vec<SetVal> = vec![SetVal::default(); num_nts];
-
-        // Seed: completing the start symbol may be followed by EOF, and the
-        // base case of SF at a terminal position is that position itself.
-        sd[g.start().index()].can_end = true;
+        let mut positions: Vec<Position> = Vec::new();
         for (pid, p) in g.iter() {
             for (j, &s) in p.rhs().iter().enumerate() {
                 if s.is_terminal() {
-                    sf[sf_index(pid, j)].positions.insert(Position {
+                    positions.push(Position {
                         production: pid,
                         dot: j as u32,
                     });
                 }
             }
+        }
+        // Arena layout: SD[X] at X, FS[Z] at num_nts + Z, SF[p, j] at
+        // 2 * num_nts + sf_index(p, j).
+        let mut sets = BitSets::new(2 * num_nts + num_sf, positions.len() + 1);
+        let sd = |x: NonTerminal| x.index();
+        let fs = |z: NonTerminal| num_nts + z.index();
+        let sf = |p: ProdId, j: usize| 2 * num_nts + sf_index(p, j);
+
+        // Seed: completing the start symbol may be followed by EOF, and the
+        // base case of SF at a terminal position is that position itself.
+        sets.insert(sd(g.start()), 0);
+        for (bit, pos) in positions.iter().enumerate() {
+            sets.insert(sf(pos.production, pos.dot as usize), bit + 1);
         }
 
         // Fixpoint iteration. Each constraint is monotone over finite sets,
@@ -126,49 +121,42 @@ impl StableFrames {
             for (pid, p) in g.iter() {
                 let rhs = p.rhs();
                 // SF[p, len] ⊇ SD[lhs(p)] — returning out of p.
-                {
-                    let src = sd[p.lhs().index()].clone();
-                    changed |= sf[sf_index(pid, rhs.len())].union_from(&src);
-                }
+                changed |= sets.union(sf(pid, rhs.len()), sd(p.lhs()));
                 for (j, &s) in rhs.iter().enumerate().rev() {
-                    match s {
-                        Symbol::T(_) => {
-                            // Base case already seeded; nothing flows in.
-                        }
-                        Symbol::Nt(z) => {
-                            // Push case: SF[p, j] ⊇ FS[Z].
-                            let src = fs[z.index()].clone();
-                            changed |= sf[sf_index(pid, j)].union_from(&src);
-                            // Nullable skip: SF[p, j] ⊇ SF[p, j+1].
-                            if nullable.contains(z) {
-                                let src = sf[sf_index(pid, j + 1)].clone();
-                                changed |= sf[sf_index(pid, j)].union_from(&src);
-                            }
+                    // A terminal's base case is already seeded; nothing
+                    // flows in.
+                    if let Symbol::Nt(z) = s {
+                        // Push case: SF[p, j] ⊇ FS[Z].
+                        changed |= sets.union(sf(pid, j), fs(z));
+                        // Nullable skip: SF[p, j] ⊇ SF[p, j+1].
+                        if nullable.contains(z) {
+                            changed |= sets.union(sf(pid, j), sf(pid, j + 1));
                         }
                     }
                 }
                 // FS[lhs(p)] ⊇ SF[p, 0].
-                {
-                    let src = sf[sf_index(pid, 0)].clone();
-                    changed |= fs[p.lhs().index()].union_from(&src);
-                }
+                changed |= sets.union(fs(p.lhs()), sf(pid, 0));
                 // Caller constraint: for each Nt(X) at (p, i),
                 // SD[X] ⊇ SF[p, i+1].
                 for (i, &s) in rhs.iter().enumerate() {
                     if let Symbol::Nt(x) = s {
-                        let src = sf[sf_index(pid, i + 1)].clone();
-                        changed |= sd[x.index()].union_from(&src);
+                        changed |= sets.union(sd(x), sf(pid, i + 1));
                     }
                 }
             }
         }
 
         StableFrames {
-            dests: sd
-                .into_iter()
-                .map(|v| StableDests {
-                    positions: v.positions.into_iter().collect(),
-                    can_end: v.can_end,
+            dests: g
+                .symbols()
+                .nonterminals()
+                .map(|x| StableDests {
+                    positions: sets
+                        .bits(sd(x))
+                        .filter_map(|bit| bit.checked_sub(1))
+                        .map(|i| positions[i])
+                        .collect(),
+                    can_end: sets.bits(sd(x)).next() == Some(0),
                 })
                 .collect(),
         }
@@ -188,6 +176,51 @@ impl StableFrames {
     /// Rebuilds from raw parts (grammar-cache deserialization).
     pub(crate) fn from_parts(dests: Vec<StableDests>) -> Self {
         StableFrames { dests }
+    }
+}
+
+/// Equal-width bitsets in one arena, addressed by set index.
+struct BitSets {
+    words: Vec<u64>,
+    width: usize,
+}
+
+impl BitSets {
+    fn new(sets: usize, bits: usize) -> Self {
+        let width = bits.div_ceil(64);
+        BitSets {
+            words: vec![0; sets * width],
+            width,
+        }
+    }
+
+    fn insert(&mut self, set: usize, bit: usize) {
+        self.words[set * self.width + bit / 64] |= 1 << (bit % 64);
+    }
+
+    /// `dst ∪= src`; reports whether `dst` grew.
+    fn union(&mut self, dst: usize, src: usize) -> bool {
+        let mut grew = false;
+        for w in 0..self.width {
+            let s = self.words[src * self.width + w];
+            let d = &mut self.words[dst * self.width + w];
+            grew |= *d | s != *d;
+            *d |= s;
+        }
+        grew
+    }
+
+    /// The set bits of `set`, ascending.
+    fn bits(&self, set: usize) -> impl Iterator<Item = usize> + '_ {
+        let words = &self.words[set * self.width..(set + 1) * self.width];
+        words.iter().enumerate().flat_map(|(w, &word)| {
+            let mut rest = word;
+            std::iter::from_fn(move || {
+                let bit = (rest != 0).then(|| rest.trailing_zeros() as usize)?;
+                rest &= rest - 1;
+                Some(w * 64 + bit)
+            })
+        })
     }
 }
 

@@ -3,20 +3,28 @@
 //! The parser clones one token per consumed input symbol (into the parse
 //! tree's leaf). With `Arc<str>` lexemes that clone must be a pure
 //! refcount bump: these tests pin the "no allocation per clone" property
-//! with a counting global allocator, so a regression back to owned
+//! with a per-thread counting global allocator, so a regression back to owned
 //! strings shows up as a test failure rather than a silent slowdown.
 
 use costar_grammar::{tokens, SymbolTable, Token};
 use std::alloc::{GlobalAlloc, Layout, System};
-use std::sync::atomic::{AtomicU64, Ordering};
+use std::cell::Cell;
 
 struct CountingAlloc;
 
-static ALLOCATIONS: AtomicU64 = AtomicU64::new(0);
+thread_local! {
+    /// Allocations made by this thread. Counting per thread keeps other
+    /// test threads' allocations out of a measurement; the const
+    /// initializer means the counter itself never allocates, so touching
+    /// it from inside the allocator cannot recurse.
+    static ALLOCATIONS: Cell<u64> = const { Cell::new(0) };
+}
 
 unsafe impl GlobalAlloc for CountingAlloc {
     unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
-        ALLOCATIONS.fetch_add(1, Ordering::Relaxed);
+        // `try_with` fails only while this thread is being torn down,
+        // when nothing is being measured.
+        let _ = ALLOCATIONS.try_with(|n| n.set(n.get() + 1));
         unsafe { System.alloc(layout) }
     }
 
@@ -28,11 +36,11 @@ unsafe impl GlobalAlloc for CountingAlloc {
 #[global_allocator]
 static GLOBAL: CountingAlloc = CountingAlloc;
 
-/// Allocations performed while running `f`.
+/// Allocations performed by the current thread while running `f`.
 fn allocations_during<R>(f: impl FnOnce() -> R) -> (R, u64) {
-    let before = ALLOCATIONS.load(Ordering::Relaxed);
+    let before = ALLOCATIONS.with(Cell::get);
     let r = f();
-    let after = ALLOCATIONS.load(Ordering::Relaxed);
+    let after = ALLOCATIONS.with(Cell::get);
     (r, after - before)
 }
 

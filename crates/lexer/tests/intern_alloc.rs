@@ -3,7 +3,7 @@
 //! `LexerSpec::token_literal` rules (keywords, punctuation) match exactly
 //! one spelling, so the compiled lexer interns that spelling once and
 //! tokenization hands out `Arc` clones. These tests pin the property with
-//! a counting global allocator: lexing N fixed-lexeme tokens performs
+//! a per-thread counting global allocator: lexing N fixed-lexeme tokens performs
 //! only the token vector's growth allocations, never one per occurrence.
 
 // Tests are exempt from the crate's panic-freedom discipline
@@ -13,15 +13,23 @@
 use costar_grammar::SymbolTable;
 use costar_lexer::{Lexer, LexerSpec};
 use std::alloc::{GlobalAlloc, Layout, System};
-use std::sync::atomic::{AtomicU64, Ordering};
+use std::cell::Cell;
 
 struct CountingAlloc;
 
-static ALLOCATIONS: AtomicU64 = AtomicU64::new(0);
+thread_local! {
+    /// Allocations made by this thread. Counting per thread keeps other
+    /// test threads' allocations out of a measurement; the const
+    /// initializer means the counter itself never allocates, so touching
+    /// it from inside the allocator cannot recurse.
+    static ALLOCATIONS: Cell<u64> = const { Cell::new(0) };
+}
 
 unsafe impl GlobalAlloc for CountingAlloc {
     unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
-        ALLOCATIONS.fetch_add(1, Ordering::Relaxed);
+        // `try_with` fails only while this thread is being torn down,
+        // when nothing is being measured.
+        let _ = ALLOCATIONS.try_with(|n| n.set(n.get() + 1));
         unsafe { System.alloc(layout) }
     }
 
@@ -33,11 +41,11 @@ unsafe impl GlobalAlloc for CountingAlloc {
 #[global_allocator]
 static GLOBAL: CountingAlloc = CountingAlloc;
 
-/// Allocations performed while running `f`.
+/// Allocations performed by the current thread while running `f`.
 fn allocations_during<R>(f: impl FnOnce() -> R) -> (R, u64) {
-    let before = ALLOCATIONS.load(Ordering::Relaxed);
+    let before = ALLOCATIONS.with(Cell::get);
     let r = f();
-    let after = ALLOCATIONS.load(Ordering::Relaxed);
+    let after = ALLOCATIONS.with(Cell::get);
     (r, after - before)
 }
 
