@@ -301,12 +301,15 @@ impl AntlrSim {
                     }
                     let top = stack.last_mut().expect("nonempty");
                     top.dot += 1;
+                    let rhs = self.grammar.rhs_arc(alt);
+                    // Reserve one tree slot per rhs symbol, as CoStar's
+                    // machine does, so the two differ only in prediction.
                     stack.push(Frame {
-                        rhs: self.grammar.rhs_arc(alt),
+                        trees: Vec::with_capacity(rhs.len()),
+                        rhs,
                         dot: 0,
                         caller: Some(x),
                         prod: alt.index() as u32,
-                        trees: Vec::new(),
                     });
                     visited.insert(x);
                 }

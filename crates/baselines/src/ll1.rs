@@ -186,11 +186,12 @@ impl Ll1Parser {
                         None => self.eof_entry[x.index()],
                     }?;
                     top.dot += 1;
+                    let rhs = g.rhs_arc(pid);
                     stack.push(Frame {
-                        rhs: g.rhs_arc(pid),
+                        trees: Vec::with_capacity(rhs.len()),
+                        rhs,
                         dot: 0,
                         caller: Some(x),
-                        trees: Vec::new(),
                     });
                 }
             }

@@ -396,12 +396,18 @@ impl<'a> Machine<'a> {
                     st.unique = false;
                 }
                 st.suffix[top].dot += 1; // the caller's dot passes X now
+                let rhs = self.grammar.rhs_arc(alt);
+                // A clean parse pushes exactly one tree per rhs symbol, so
+                // the forest never regrows and the `Tree::Node` it becomes
+                // on return carries no spare capacity.
+                st.prefix.push(PrefixFrame {
+                    trees: Vec::with_capacity(rhs.len()),
+                });
                 st.suffix.push(SuffixFrame {
                     caller: Some(x),
-                    rhs: self.grammar.rhs_arc(alt),
+                    rhs,
                     dot: 0,
                 });
-                st.prefix.push(PrefixFrame::default());
                 st.visited.insert(x);
                 obs.on_op(MachineOp::Push, st.cursor, st.suffix.len());
                 StepResult::Cont

@@ -469,18 +469,19 @@ fn close_all_frames(
 }
 
 /// Builds the error node for one recovery: span from the first skipped
-/// token when there is one, else from the rejection itself.
-fn error_node(reason: &RejectReason, skipped: Vec<Token>) -> ErrorNode {
+/// token when there is one, else from the rejection itself. Boxed, as
+/// [`Tree::Error`] holds it.
+fn error_node(reason: &RejectReason, skipped: Vec<Token>) -> Box<ErrorNode> {
     let span = skipped
         .first()
         .map(|t| t.span())
         .filter(|s| s.has_position() || s.offset != 0)
         .unwrap_or_else(|| reason.span());
-    ErrorNode {
+    Box::new(ErrorNode {
         span,
         skipped,
         reason: reason.to_string(),
-    }
+    })
 }
 
 #[cfg(test)]

@@ -159,11 +159,21 @@ impl AuditTable {
     /// Audits every decision point of `g`. Callers normally reach this
     /// through `GrammarAnalysis::compute`.
     pub fn compute(g: &Grammar, stable_frames: &StableFrames, productivity: &Productivity) -> Self {
-        let mut auto = Automata::new(g, stable_frames);
+        Self::compute_with(g, productivity, &mut Automata::new(g, stable_frames))
+    }
+
+    /// [`compute`](AuditTable::compute) on a caller's closure engine,
+    /// reusing whatever closures it already memoized; the result is the
+    /// same (DESIGN §7g's exact cap accounting).
+    pub(crate) fn compute_with(
+        g: &Grammar,
+        productivity: &Productivity,
+        auto: &mut Automata,
+    ) -> Self {
         let by_nt = g
             .symbols()
             .nonterminals()
-            .map(|x| audit_nonterminal(g, &mut auto, productivity, x))
+            .map(|x| audit_nonterminal(g, auto, productivity, x))
             .collect();
         AuditTable { by_nt }
     }

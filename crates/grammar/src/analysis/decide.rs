@@ -37,12 +37,13 @@
 //! full prediction also rejects. This is checked dynamically by the
 //! verify crate's `H-DECIDE-SOUND` harness.
 
-use crate::analysis::first_follow::{ll1_selects, FirstSets, FollowSets};
+use crate::analysis::first_follow::{FirstSets, FollowSets};
 use crate::analysis::nullable::NullableSet;
 use crate::analysis::sll_graph::{Automata, GraphOutcome};
 use crate::analysis::stable_frames::StableFrames;
 use crate::grammar::{Grammar, ProdId};
 use crate::json::{self, JsonWriter};
+use crate::sets::TermSet;
 use crate::symbol::{NonTerminal, Symbol, Terminal};
 use std::collections::{BTreeSet, VecDeque};
 
@@ -186,11 +187,30 @@ impl DecisionTable {
         follow: &FollowSets,
         stable_frames: &StableFrames,
     ) -> Self {
-        let mut auto = Automata::new(g, stable_frames);
+        Self::compute_with(
+            g,
+            nullable,
+            first,
+            follow,
+            &mut Automata::new(g, stable_frames),
+        )
+    }
+
+    /// [`compute`](DecisionTable::compute) on a caller's closure engine,
+    /// so `GrammarAnalysis::compute` can hand the audit the closures this
+    /// table already memoized. Exact: every exploration is charged its
+    /// closures' stored work, memoized or not (DESIGN §7g).
+    pub(crate) fn compute_with(
+        g: &Grammar,
+        nullable: &NullableSet,
+        first: &FirstSets,
+        follow: &FollowSets,
+        auto: &mut Automata,
+    ) -> Self {
         let by_nt = g
             .symbols()
             .nonterminals()
-            .map(|x| classify(g, nullable, first, follow, &mut auto, x))
+            .map(|x| classify(g, nullable, first, follow, auto, x))
             .collect();
         DecisionTable { by_nt }
     }
@@ -298,34 +318,46 @@ impl DecisionTable {
     }
 }
 
-/// A terminal selecting both `p` and `q` (or `Some(None)` when both are
-/// nullable and conflict on end-of-input alone); `None` when the pair's
-/// select sets are disjoint. Identical to the LL(1) condition behind lint
-/// L006 — the linter now consumes this table, so the two stay one
-/// definition.
-fn select_conflict(
-    g: &Grammar,
-    nullable: &NullableSet,
-    first: &FirstSets,
-    follow: &FollowSets,
-    p: ProdId,
-    q: ProdId,
-) -> Option<Option<Terminal>> {
-    let lhs = g.production(p).lhs();
-    let follow_lhs = follow.follow(lhs);
-    let rhs_p = g.production(p).rhs();
-    let rhs_q = g.production(q).rhs();
-    for t in g.symbols().terminals() {
-        if ll1_selects(rhs_p, t, nullable, first, follow_lhs)
-            && ll1_selects(rhs_q, t, nullable, first, follow_lhs)
-        {
-            return Some(Some(t));
+/// One alternative's LL(1) select set: FIRST of its right-hand side,
+/// plus FOLLOW of the left-hand side when the right-hand side is
+/// nullable — exactly the terminals on which
+/// [`ll1_selects`](crate::analysis::ll1_selects) holds.
+struct Select {
+    terminals: TermSet,
+    nullable: bool,
+}
+
+impl Select {
+    fn of(
+        g: &Grammar,
+        nullable: &NullableSet,
+        first: &FirstSets,
+        follow: &TermSet,
+        p: ProdId,
+    ) -> Self {
+        let rhs = g.production(p).rhs();
+        let mut terminals = first.first_of_form(rhs, nullable);
+        let nullable = nullable.form_nullable(rhs);
+        if nullable {
+            terminals.union_with(follow);
+        }
+        Select {
+            terminals,
+            nullable,
         }
     }
-    if nullable.form_nullable(rhs_p) && nullable.form_nullable(rhs_q) {
-        return Some(None);
+
+    /// The lowest-index terminal selecting both alternatives (or
+    /// `Some(None)` when both are nullable and conflict on end-of-input
+    /// alone); `None` when the select sets are disjoint. Identical to the
+    /// LL(1) condition behind lint L006 — the linter consumes this table,
+    /// so the two stay one definition.
+    fn conflict(&self, other: &Select) -> Option<Option<Terminal>> {
+        match self.terminals.iter().find(|&t| other.terminals.contains(t)) {
+            Some(t) => Some(Some(t)),
+            None => (self.nullable && other.nullable).then_some(None),
+        }
     }
-    None
 }
 
 /// Bounded search caps for the common-word (ambiguity) search.
@@ -337,7 +369,7 @@ const AMBIG_MAX_QUEUE: usize = 4_000;
 /// right-hand sides. Finding one is exact proof the decision pair is
 /// ambiguous (two distinct parse trees of the shared left-hand side);
 /// exhausting the bounds proves nothing.
-fn common_word(g: &Grammar, p: ProdId, q: ProdId) -> Option<Vec<Terminal>> {
+pub(crate) fn common_word(g: &Grammar, p: ProdId, q: ProdId) -> Option<Vec<Terminal>> {
     type Form = Vec<Symbol>;
     let mut queue: VecDeque<(Form, Form, Vec<Terminal>)> = VecDeque::new();
     let mut seen: BTreeSet<(Form, Form)> = BTreeSet::new();
@@ -414,10 +446,14 @@ fn classify(
     }
 
     // Pairwise LL(1) select-set conflicts.
+    let selects: Vec<Select> = alts
+        .iter()
+        .map(|&p| Select::of(g, nullable, first, follow.follow(x), p))
+        .collect();
     let mut conflicts = Vec::new();
     for (i, &p) in alts.iter().enumerate() {
-        for &q in &alts[i + 1..] {
-            if let Some(lookahead) = select_conflict(g, nullable, first, follow, p, q) {
+        for (j, &q) in alts.iter().enumerate().skip(i + 1) {
+            if let Some(lookahead) = selects[i].conflict(&selects[j]) {
                 let pair = auto.explore(&[p, q]);
                 conflicts.push(ConflictPair {
                     a: p,
@@ -434,15 +470,11 @@ fn classify(
         // Disjoint select sets: build the direct dispatch map.
         let mut by_terminal = vec![None; g.num_terminals()];
         let mut eof = None;
-        let follow_lhs = follow.follow(x);
-        for &p in alts {
-            let rhs = g.production(p).rhs();
-            for t in g.symbols().terminals() {
-                if ll1_selects(rhs, t, nullable, first, follow_lhs) {
-                    by_terminal[t.index()] = Some(p);
-                }
+        for (&p, select) in alts.iter().zip(&selects) {
+            for t in select.terminals.iter() {
+                by_terminal[t.index()] = Some(p);
             }
-            if nullable.form_nullable(rhs) {
+            if select.nullable {
                 eof = Some(p);
             }
         }

@@ -69,6 +69,7 @@ pub use stable_frames::{Position, StableDests, StableFrames};
 pub use sync::SyncSets;
 
 use crate::grammar::Grammar;
+use sll_graph::Automata;
 
 /// All analyses bundled, computed once per grammar.
 ///
@@ -126,9 +127,12 @@ impl GrammarAnalysis {
         let reachability = Reachability::compute(g);
         let productivity = Productivity::compute(g);
         let stable_frames = StableFrames::compute(g, &nullable);
-        let decisions = DecisionTable::compute(g, &nullable, &first, &follow, &stable_frames);
+        // One closure engine for both tables: the audit's pair graphs
+        // reuse the closures the decision table memoized.
+        let mut auto = Automata::new(g, &stable_frames);
+        let decisions = DecisionTable::compute_with(g, &nullable, &first, &follow, &mut auto);
+        let audit = AuditTable::compute_with(g, &productivity, &mut auto);
         let sync = SyncSets::compute(g, &first, &follow);
-        let audit = AuditTable::compute(g, &stable_frames, &productivity);
         let cost = CostModel::compute(g, &nullable, &left_recursion, &audit);
         GrammarAnalysis {
             nullable,

@@ -8,18 +8,24 @@
 //! `BTreeSet`, and every closure starts from scratch: slow, but simple
 //! enough to read as the specification. The property test at the bottom
 //! asserts that `StableFrames`, `DecisionTable`, `AuditTable` and
-//! `simulate_survivors` agree exactly with it, and that every exploration
-//! cap fires at least once across the sample.
+//! `simulate_survivors` agree exactly with it, that the decision table's
+//! select-set conflicts and lookahead maps match a terminal-by-terminal
+//! `ll1_selects` loop, that `GrammarAnalysis::compute` (one engine shared
+//! by both tables) builds the same tables as the standalone calls, and
+//! that every exploration cap fires at least once across the sample.
 
 use crate::analysis::audit::{simulate_survivors, AuditTable};
-use crate::analysis::decide::{DecisionClass, DecisionTable};
-use crate::analysis::first_follow::{FirstSets, FollowSets};
+use crate::analysis::decide::{
+    common_word, ConflictPair, DecisionClass, DecisionInfo, DecisionTable, LookaheadMap,
+};
+use crate::analysis::first_follow::{ll1_selects, FirstSets, FollowSets};
 use crate::analysis::nullable::NullableSet;
 use crate::analysis::productivity::Productivity;
 use crate::analysis::sll_graph::{
     GraphOutcome, GraphReport, MAX_CONFIGS_PER_STATE, MAX_STACK_DEPTH, MAX_STATES, MAX_WORK_ITEMS,
 };
 use crate::analysis::stable_frames::{Position, StableDests, StableFrames};
+use crate::analysis::GrammarAnalysis;
 use crate::grammar::{Grammar, GrammarBuilder, ProdId};
 use crate::sampler::SplitMix64;
 use crate::symbol::{Symbol, Terminal};
@@ -483,29 +489,82 @@ fn reference_stable_frames(g: &Grammar, nullable: &NullableSet) -> Vec<StableDes
         .collect()
 }
 
-/// `table` with every closure-derived field recomputed by the reference
-/// explorer: distinguishing prefixes, classes of non-LL(1) decisions and
-/// graph state counts. Select sets and ambiguity words never touch the
-/// closure engine.
+/// The decision table rebuilt from scratch: conflict lookaheads and
+/// lookahead maps by testing `ll1_selects` terminal by terminal, and every
+/// closure-derived field (distinguishing prefixes, classes of non-LL(1)
+/// decisions, graph state counts) by the reference explorer. Ambiguity
+/// words never touch either, so they come from the shared `common_word`.
 fn reference_decisions(
     g: &Grammar,
+    nullable: &NullableSet,
+    first: &FirstSets,
+    follow: &FollowSets,
     sf: &StableFrames,
-    table: &DecisionTable,
     caps: &mut Caps,
 ) -> DecisionTable {
-    let mut rows = table.rows().to_vec();
-    for info in rows.iter_mut().flatten() {
-        for c in &mut info.conflicts {
-            c.distinguishing_prefix = explore(g, sf, &[c.a, c.b], caps).distinguishing_prefix;
+    let mut rows = Vec::new();
+    for x in g.symbols().nonterminals() {
+        let alts = g.alternatives(x);
+        if alts.len() < 2 {
+            rows.push(None);
+            continue;
         }
-        if info.class != DecisionClass::Ll1 {
-            let report = explore(g, sf, g.alternatives(info.nonterminal), caps);
-            info.class = match report.outcome {
+        let rhs = |p: ProdId| g.production(p).rhs();
+        let selects = |p: ProdId, t| ll1_selects(rhs(p), t, nullable, first, follow.follow(x));
+        let mut conflicts = Vec::new();
+        for (i, &a) in alts.iter().enumerate() {
+            for &b in &alts[i + 1..] {
+                let lookahead = match g
+                    .symbols()
+                    .terminals()
+                    .find(|&t| selects(a, t) && selects(b, t))
+                {
+                    Some(t) => Some(t),
+                    None if nullable.form_nullable(rhs(a)) && nullable.form_nullable(rhs(b)) => {
+                        None
+                    }
+                    None => continue,
+                };
+                conflicts.push(ConflictPair {
+                    a,
+                    b,
+                    lookahead,
+                    distinguishing_prefix: explore(g, sf, &[a, b], caps).distinguishing_prefix,
+                    ambiguous_word: common_word(g, a, b),
+                });
+            }
+        }
+        let (class, lookahead, graph_states) = if conflicts.is_empty() {
+            let mut by_terminal = vec![None; g.num_terminals()];
+            let mut eof = None;
+            for &p in alts {
+                for t in g.symbols().terminals() {
+                    if selects(p, t) {
+                        by_terminal[t.index()] = Some(p);
+                    }
+                }
+                if nullable.form_nullable(rhs(p)) {
+                    eof = Some(p);
+                }
+            }
+            let map = LookaheadMap::from_parts(by_terminal, eof);
+            (DecisionClass::Ll1, Some(map), 0)
+        } else {
+            let report = explore(g, sf, alts, caps);
+            let class = match report.outcome {
                 GraphOutcome::ConflictFree => DecisionClass::SllSafe,
                 GraphOutcome::Conflict | GraphOutcome::Bounded => DecisionClass::NeedsFullAllStar,
             };
-            info.graph_states = report.states;
-        }
+            (class, None, report.states)
+        };
+        rows.push(Some(DecisionInfo {
+            nonterminal: x,
+            class,
+            alternatives: alts.len(),
+            lookahead,
+            conflicts,
+            graph_states,
+        }));
     }
     DecisionTable::from_parts(rows)
 }
@@ -596,7 +655,7 @@ fn compare_on_random_grammars(seed: u64, grammars: usize) -> Caps {
         let audit = AuditTable::compute(&g, &sf, &productivity);
         assert_eq!(
             decisions,
-            reference_decisions(&g, &sf, &decisions, &mut caps),
+            reference_decisions(&g, &nullable, &first, &follow, &sf, &mut caps),
             "case {case}: decision table"
         );
         assert_eq!(
@@ -604,6 +663,14 @@ fn compare_on_random_grammars(seed: u64, grammars: usize) -> Caps {
             reference_audit(&g, &sf, &audit, &mut caps),
             "case {case}: audit table"
         );
+        // The bundle runs both tables on one shared closure engine; that
+        // must change nothing.
+        let bundle = GrammarAnalysis::compute(&g);
+        assert_eq!(
+            bundle.decisions, decisions,
+            "case {case}: bundled decisions"
+        );
+        assert_eq!(bundle.audit, audit, "case {case}: bundled audit");
 
         for x in g.symbols().nonterminals() {
             let alts = g.alternatives(x);

@@ -359,11 +359,11 @@ mod tests {
             vec![
                 Tree::Node(
                     a_nt,
-                    vec![Tree::Error(ErrorNode {
+                    vec![Tree::Error(Box::new(ErrorNode {
                         span: crate::Span::default(),
                         skipped: vec![word[0].clone(), word[1].clone()],
                         reason: "test".to_owned(),
-                    })],
+                    }))],
                 ),
                 Tree::Leaf(word[2].clone()),
             ],
@@ -373,11 +373,11 @@ mod tests {
             Err(DerivationError::ErrorNode { at: 0 })
         );
         // A bare error node at the root is a WrongRoot (no root symbol).
-        let bare = Tree::Error(ErrorNode {
+        let bare = Tree::Error(Box::new(ErrorNode {
             span: crate::Span::default(),
             skipped: vec![],
             reason: "test".to_owned(),
-        });
+        }));
         assert_eq!(
             check_tree(&g, s, &word, &bare),
             Err(DerivationError::WrongRoot)

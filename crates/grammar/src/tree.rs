@@ -47,9 +47,14 @@ pub enum Tree {
     Node(NonTerminal, Vec<Tree>),
     /// A recovery artifact: input skipped or a symbol abandoned during
     /// panic-mode resynchronization. Only the recovering parser produces
-    /// these; plain parses never do.
-    Error(ErrorNode),
+    /// these; plain parses never do. Boxed so the rare payload does not
+    /// widen every slot of every child vector.
+    Error(Box<ErrorNode>),
 }
+
+// Every child-vector slot is one `Tree`: `Leaf(Token)` sets the size, and
+// the boxed error payload keeps `Error` from widening it.
+const _: () = assert!(std::mem::size_of::<Tree>() <= 56);
 
 /// A forest: the subtrees derived from a sentential form.
 pub type Forest = Vec<Tree>;
@@ -277,11 +282,11 @@ mod tests {
     fn error_nodes_carry_skipped_yield_and_no_root_symbol() {
         let mut tab = SymbolTable::new();
         let junk = Token::new(tab.terminal("junk"), "?!");
-        let err = Tree::Error(ErrorNode {
+        let err = Tree::Error(Box::new(ErrorNode {
             span: Span::at_offset(4),
             skipped: vec![junk.clone()],
             reason: "unexpected token".to_owned(),
-        });
+        }));
         assert_eq!(err.root_symbol(), None);
         assert!(err.has_errors());
         assert_eq!(err.yield_tokens(), vec![junk]);
