@@ -4,7 +4,8 @@
 # only the stdout document is checked. Covers lint/analyze/audit/cost on
 # the four languages and the fixture grammars; parse --stats=json,
 # --recover=json and both, per language, on a generated file and on a
-# copy with one token deleted; a two-file --jobs 2 batch; and
+# copy with one token deleted (on a computed analysis, and both flags
+# again on the shipped one); a two-file --jobs 2 batch; and
 # edit --format=json.
 #
 # Usage (after `cargo build --release`): ci/json_outputs.sh [COSTAR_BINARY]
@@ -73,6 +74,8 @@ for lang in json xml dot python; do
         check parse --lang "$lang" --no-grammar-cache --stats=json "$file"
         check parse --lang "$lang" --no-grammar-cache --recover=json "$file"
         check parse --lang "$lang" --no-grammar-cache --stats=json --recover=json "$file"
+        # The same parse on the analysis the binary ships with.
+        check parse --lang "$lang" --stats=json --recover=json "$file"
     done
     check parse --lang "$lang" --no-grammar-cache --jobs 2 --stats=json --recover=json "$clean" "$damaged"
 done

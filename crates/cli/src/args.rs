@@ -1,7 +1,7 @@
 //! Hand-rolled argument parsing (the workspace keeps its dependency set
 //! to the offline essentials, so no clap).
 
-use costar_langs::{all_languages, Generator, Language};
+use costar_langs::{Constructor, Generator, Language, LANGUAGES};
 
 /// Usage text shown on argument errors.
 pub const USAGE: &str = "\
@@ -70,9 +70,11 @@ usage:
   pre-warms one shared prediction-cache snapshot, per-file verdicts keep
   input order, and the exit code folds to the most severe per-file code
   (severity 0 < 4 < 1 < 3).
-  Grammar analyses for --grammar files are cached on disk keyed by
-  grammar content (COSTAR_CACHE_DIR, default <grammar dir>/.costar-cache);
-  --no-grammar-cache bypasses the cache entirely.
+  Bundled languages (--lang) load the grammar analysis shipped inside
+  the binary. The disk cache serves --grammar files only: their
+  analyses are cached keyed by grammar content (COSTAR_CACHE_DIR,
+  default <grammar dir>/.costar-cache). --no-grammar-cache uses no
+  stored analysis: it recomputes the analysis for either source.
   edit replays a JSON edit script against FILE in one live session:
   each edit re-lexes only the damaged region, splices the fresh tokens
   into the previous token vector, and skips the parse entirely when the
@@ -672,13 +674,25 @@ fn number<T: std::str::FromStr>(
         .map_err(|_| format!("{flag} takes a number"))
 }
 
-/// Looks up a built-in language (and its generator) by name,
-/// case-insensitively.
-pub fn find_language(name: &str) -> Result<(Language, Generator), String> {
-    all_languages()
-        .into_iter()
-        .find(|(l, _)| l.name.eq_ignore_ascii_case(name))
+/// A built-in language's constructor and generator, by name
+/// (case-insensitive).
+fn lookup(name: &str) -> Result<(Constructor, Generator), String> {
+    LANGUAGES
+        .iter()
+        .find(|(key, _, _)| key.eq_ignore_ascii_case(name))
+        .map(|&(_, build, generate)| (build, generate))
         .ok_or_else(|| format!("unknown language {name:?} (json, xml, dot, python)"))
+}
+
+/// Builds the built-in language `name` (case-insensitive), and no other.
+pub fn find_language(name: &str) -> Result<Language, String> {
+    lookup(name).map(|(build, _)| build())
+}
+
+/// The generator of the built-in language `name` (case-insensitive);
+/// builds no language.
+pub fn find_generator(name: &str) -> Result<Generator, String> {
+    lookup(name).map(|(_, generate)| generate)
 }
 
 #[cfg(test)]
@@ -1112,8 +1126,18 @@ mod tests {
 
     #[test]
     fn language_lookup_is_case_insensitive() {
-        assert!(find_language("JSON").is_ok());
-        assert!(find_language("Python").is_ok());
-        assert!(find_language("cobol").is_err());
+        for (name, display) in [
+            ("jSoN", "JSON"),
+            ("Xml", "XML"),
+            ("doT", "DOT"),
+            ("PYTHON", "Python"),
+        ] {
+            assert_eq!(find_language(name).unwrap().name, display);
+            let generate = find_generator(name).unwrap();
+            assert!(!generate(1, 10).is_empty(), "{name}");
+        }
+        let err = find_language("cobol").unwrap_err();
+        assert_eq!(err, "unknown language \"cobol\" (json, xml, dot, python)");
+        assert_eq!(find_generator("cobol").unwrap_err(), err);
     }
 }

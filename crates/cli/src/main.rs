@@ -169,7 +169,7 @@ fn run(args: Args) -> Result<ExitCode, String> {
             max_steps_per_token,
         } => Ok(cmd_cost(source, format, max_steps_per_token)),
         Command::Generate { lang, size, seed } => {
-            let (_, generate) = args::find_language(&lang)?;
+            let generate = args::find_generator(&lang)?;
             print!("{}", generate(seed, size));
             Ok(ExitCode::SUCCESS)
         }
@@ -181,7 +181,7 @@ fn run(args: Args) -> Result<ExitCode, String> {
             oracle,
         } => cmd_edit(&lang, &file, &script, format, oracle),
         Command::Tokens { lang, file } => {
-            let (language, _) = args::find_language(&lang)?;
+            let language = args::find_language(&lang)?;
             let src = std::fs::read_to_string(&file).map_err(|e| format!("{file}: {e}"))?;
             let tokens = language.tokenize(&src).map_err(|e| e.to_string())?;
             for t in &tokens {
@@ -198,19 +198,20 @@ fn run(args: Args) -> Result<ExitCode, String> {
     }
 }
 
-/// Loads a grammar and every input word from the parse-command sources.
-/// Words and display names are index-aligned. The last element is the
-/// default grammar-cache directory: next to the grammar file for
-/// `--grammar`, none for built-in languages (whose analyses are cheap
-/// and have no natural on-disk home).
+/// Loads a grammar, its analysis and every input word from the
+/// parse-command sources. Words and display names are index-aligned. A
+/// built-in language loads the analysis it ships with; a `--grammar`
+/// file goes through the disk cache. `no_cache` uses no stored analysis
+/// of either kind.
 #[allow(clippy::type_complexity)]
 fn load_many(
     source: GrammarSource,
     inputs: Vec<String>,
-) -> Result<(Grammar, Vec<Vec<Token>>, Vec<String>, Option<PathBuf>), String> {
+    no_cache: bool,
+) -> Result<(Grammar, GrammarAnalysis, Vec<Vec<Token>>, Vec<String>), String> {
     match source {
         GrammarSource::Lang(name) => {
-            let (language, _) = args::find_language(&name)?;
+            let language = args::find_language(&name)?;
             if inputs.is_empty() {
                 return Err("parse --lang needs at least one input FILE".into());
             }
@@ -223,7 +224,12 @@ fn load_many(
                         .map_err(|e| format!("{file}: {e}"))?,
                 );
             }
-            Ok((language.grammar().clone(), words, inputs, None))
+            let analysis = if no_cache {
+                GrammarAnalysis::compute(language.grammar())
+            } else {
+                language.analysis()
+            };
+            Ok((language.grammar().clone(), analysis, words, inputs))
         }
         GrammarSource::Ebnf(path) => {
             let src = std::fs::read_to_string(&path).map_err(|e| format!("{path}: {e}"))?;
@@ -240,58 +246,47 @@ fn load_many(
                     .ok_or_else(|| format!("unknown terminal {name:?}"))?;
                 tokens.push(Token::new(t, name));
             }
-            let cache_dir = PathBuf::from(&path)
-                .parent()
-                .map(|d| d.join(".costar-cache"));
-            Ok((
-                grammar,
-                vec![tokens],
-                vec!["<tokens>".to_owned()],
-                cache_dir,
-            ))
+            let analysis = cached_analysis(&grammar, &path, no_cache);
+            Ok((grammar, analysis, vec![tokens], vec!["<tokens>".to_owned()]))
         }
     }
 }
 
-/// Obtains the grammar analysis, consulting the on-disk cache unless
-/// `no_cache`. The cache is keyed by a content fingerprint of the
-/// grammar, so a stale or corrupted entry is detected (the decoder
-/// re-validates every index) and silently recomputed — the cache can slow
-/// us down at worst, never change behavior. `COSTAR_CACHE_DIR` overrides
-/// the default location; cache write failures are non-fatal.
-fn load_analysis(
-    grammar: &Grammar,
-    default_dir: Option<PathBuf>,
-    no_cache: bool,
-) -> GrammarAnalysis {
+/// Obtains the analysis of the grammar read from the file `grammar_path`,
+/// consulting the on-disk cache unless `no_cache`. The cache is keyed by
+/// a content fingerprint of the grammar, so a stale or corrupted entry is
+/// detected (the decoder re-validates every index) and silently
+/// recomputed — the cache can slow us down at worst, never change
+/// behavior. It lives in `.costar-cache` next to the grammar file;
+/// `COSTAR_CACHE_DIR` overrides that. Cache write failures are non-fatal.
+fn cached_analysis(grammar: &Grammar, grammar_path: &str, no_cache: bool) -> GrammarAnalysis {
+    if no_cache {
+        return GrammarAnalysis::compute(grammar);
+    }
     let dir = std::env::var_os("COSTAR_CACHE_DIR")
         .map(PathBuf::from)
-        .or(default_dir);
-    let path = dir.map(|d| {
-        let fp = costar_grammar::analysis::grammar_fingerprint(grammar);
-        (d.join(format!("{}.json", json::fingerprint_hex(fp))), d)
-    });
-    if !no_cache {
-        if let Some((file, _)) = &path {
-            if let Ok(text) = std::fs::read_to_string(file) {
-                if let Some(analysis) = costar_grammar::analysis::from_cache_json(grammar, &text) {
-                    return analysis;
-                }
-                // Corrupt or stale: fall through and overwrite below.
-            }
+        .or_else(|| {
+            PathBuf::from(grammar_path)
+                .parent()
+                .map(|d| d.join(".costar-cache"))
+        });
+    let Some(dir) = dir else {
+        return GrammarAnalysis::compute(grammar);
+    };
+    let fp = costar_grammar::analysis::grammar_fingerprint(grammar);
+    let file = dir.join(format!("{}.json", json::fingerprint_hex(fp)));
+    if let Ok(text) = std::fs::read_to_string(&file) {
+        if let Some(analysis) = costar_grammar::analysis::from_cache_json(grammar, &text) {
+            return analysis;
         }
+        // Corrupt or stale: fall through and overwrite below.
     }
     let analysis = GrammarAnalysis::compute(grammar);
-    if !no_cache {
-        if let Some((file, _)) = &path {
-            let json = costar_grammar::analysis::to_cache_json(grammar, &analysis);
-            // Atomic write with a per-process-per-write staging name:
-            // readers never observe a half-written document, and
-            // concurrent `costar` invocations can't clobber each other's
-            // staging file mid-write.
-            let _ = costar_grammar::analysis::write_cache_atomic(file, &json);
-        }
-    }
+    let json = costar_grammar::analysis::to_cache_json(grammar, &analysis);
+    // Atomic write with a per-process-per-write staging name: readers
+    // never observe a half-written document, and concurrent `costar`
+    // invocations can't clobber each other's staging file mid-write.
+    let _ = costar_grammar::analysis::write_cache_atomic(&file, &json);
     analysis
 }
 
@@ -318,8 +313,7 @@ fn cmd_parse(
     budget: Budget,
     opts: ParseOpts,
 ) -> Result<ExitCode, String> {
-    let (grammar, mut words, names, cache_dir) = load_many(source, inputs)?;
-    let analysis = load_analysis(&grammar, cache_dir, opts.no_grammar_cache);
+    let (grammar, analysis, mut words, names) = load_many(source, inputs, opts.no_grammar_cache)?;
     if words.len() > 1 {
         return cmd_parse_batch(grammar, analysis, &names, &words, budget, &opts);
     }
@@ -775,7 +769,7 @@ fn cmd_edit(
     oracle: bool,
 ) -> Result<ExitCode, String> {
     let json_mode = format == LintFormat::Json;
-    let (language, _) = match args::find_language(lang) {
+    let language = match args::find_language(lang) {
         Ok(l) => l,
         Err(msg) => {
             eprintln!("error: {msg}");
@@ -803,8 +797,7 @@ fn cmd_edit(
             return Ok(ExitCode::from(2));
         }
     };
-    let analysis = load_analysis(language.grammar(), None, false);
-    let mut parser = Parser::with_analysis(language.grammar().clone(), analysis);
+    let mut parser = Parser::with_analysis(language.grammar().clone(), language.analysis());
     let incremental = language.incremental_lexing();
 
     // With `--format=json` stdout carries the document; human lines move
@@ -1010,14 +1003,13 @@ fn cmd_edit(
 /// map to exit 2 so callers can distinguish "bad grammar file" from
 /// "grammar has defects".
 fn cmd_lint(source: GrammarSource, format: LintFormat) -> ExitCode {
-    let grammar = match load_grammar(source) {
-        Ok(g) => g,
+    let (grammar, analysis) = match load_analyzed(source, false) {
+        Ok(loaded) => loaded,
         Err(msg) => {
             eprintln!("error: {msg}");
             return ExitCode::from(2);
         }
     };
-    let analysis = costar_grammar::analysis::GrammarAnalysis::compute(&grammar);
     let diags = costar_grammar::lint::lint_grammar(&grammar, &analysis);
     match format {
         LintFormat::Human => {
@@ -1064,14 +1056,13 @@ fn cmd_lint(source: GrammarSource, format: LintFormat) -> ExitCode {
 /// contract: 0 = clean, 1 = findings (here: a proven-ambiguous decision
 /// pair, the L007 condition), 2 = the grammar could not be loaded.
 fn cmd_analyze(source: GrammarSource, format: LintFormat) -> ExitCode {
-    let grammar = match load_grammar(source) {
-        Ok(g) => g,
+    let (grammar, analysis) = match load_analyzed(source, false) {
+        Ok(loaded) => loaded,
         Err(msg) => {
             eprintln!("error: {msg}");
             return ExitCode::from(2);
         }
     };
-    let analysis = costar_grammar::analysis::GrammarAnalysis::compute(&grammar);
     let table = &analysis.decisions;
     let stats = table.stats();
     match format {
@@ -1143,14 +1134,13 @@ fn cmd_analyze(source: GrammarSource, format: LintFormat) -> ExitCode {
 /// codes follow lint's contract: 0 = no findings, 1 = findings
 /// (L009/L010/L011), 2 = the grammar could not be loaded.
 fn cmd_audit(source: GrammarSource, format: LintFormat, max_lookahead: Option<usize>) -> ExitCode {
-    let grammar = match load_grammar(source) {
-        Ok(g) => g,
+    let (grammar, analysis) = match load_analyzed(source, false) {
+        Ok(loaded) => loaded,
         Err(msg) => {
             eprintln!("error: {msg}");
             return ExitCode::from(2);
         }
     };
-    let analysis = costar_grammar::analysis::GrammarAnalysis::compute(&grammar);
     let table = &analysis.audit;
     let diags = costar_grammar::lint::audit_findings(&grammar, &analysis, max_lookahead);
     match format {
@@ -1245,20 +1235,13 @@ fn cmd_cost(
     format: LintFormat,
     max_steps_per_token: Option<u64>,
 ) -> ExitCode {
-    let cache_dir = match &source {
-        GrammarSource::Ebnf(path) => PathBuf::from(path)
-            .parent()
-            .map(|d| d.join(".costar-cache")),
-        GrammarSource::Lang(_) => None,
-    };
-    let grammar = match load_grammar(source) {
-        Ok(g) => g,
+    let (grammar, analysis) = match load_analyzed(source, true) {
+        Ok(loaded) => loaded,
         Err(msg) => {
             eprintln!("error: {msg}");
             return ExitCode::from(2);
         }
     };
-    let analysis = load_analysis(&grammar, cache_dir, false);
     let cost = &analysis.cost;
     let diags = costar_grammar::lint::cost_findings(&grammar, &analysis, max_steps_per_token);
     match format {
@@ -1331,20 +1314,30 @@ fn cmd_cost(
     }
 }
 
-/// Loads a grammar alone (no input word) from either source.
-fn load_grammar(source: GrammarSource) -> Result<Grammar, String> {
+/// Loads a grammar (no input word) and its analysis from either source.
+/// A built-in language loads the analysis it ships with. A `--grammar`
+/// file's analysis is computed, or with `disk_cache` taken from (and
+/// stored in) the on-disk cache.
+fn load_analyzed(
+    source: GrammarSource,
+    disk_cache: bool,
+) -> Result<(Grammar, GrammarAnalysis), String> {
     match source {
-        GrammarSource::Lang(name) => Ok(args::find_language(&name)?.0.grammar().clone()),
+        GrammarSource::Lang(name) => {
+            let language = args::find_language(&name)?;
+            Ok((language.grammar().clone(), language.analysis()))
+        }
         GrammarSource::Ebnf(path) => {
             let src = std::fs::read_to_string(&path).map_err(|e| format!("{path}: {e}"))?;
-            Ok(costar_ebnf::compile(&src)?.0)
+            let grammar = costar_ebnf::compile(&src)?.0;
+            let analysis = cached_analysis(&grammar, &path, !disk_cache);
+            Ok((grammar, analysis))
         }
     }
 }
 
 fn cmd_check(source: GrammarSource, eliminate_lr: bool) -> Result<ExitCode, String> {
-    let grammar = load_grammar(source)?;
-    let analysis = costar_grammar::analysis::GrammarAnalysis::compute(&grammar);
+    let (grammar, analysis) = load_analyzed(source, false)?;
     println!(
         "grammar: |T| = {}, |N| = {}, |P| = {}, maxRhsLen = {}",
         grammar.num_terminals(),

@@ -408,6 +408,70 @@ fn truncated_grammar_cache_recomputes_silently() {
     let _ = std::fs::remove_dir_all(dir);
 }
 
+/// The deterministic counters of a `--stats=json` line: its top-level
+/// `"key":value` pairs before the timing fields (`total_nanos` and
+/// after), minus the `*_micros` timings among them.
+fn stats_counters(stats: &str) -> Vec<&str> {
+    let head = stats.split("\"total_nanos\"").next().unwrap_or("");
+    head.trim_start_matches('{')
+        .split(',')
+        .filter(|kv| !kv.is_empty() && !kv.contains("_micros\""))
+        .collect()
+}
+
+#[test]
+fn bundled_languages_parse_with_their_shipped_analysis_and_no_disk_cache() {
+    // A `--lang` parse loads the analysis the binary ships with: it
+    // neither reads nor writes `COSTAR_CACHE_DIR` (that cache serves
+    // `--grammar` files only), and it parses exactly as a parse on a
+    // freshly computed analysis (`--no-grammar-cache`) does.
+    for lang in ["json", "xml", "dot", "python"] {
+        let out = costar()
+            .args(["generate", "--lang", lang, "--size", "40", "--seed", "9"])
+            .output()
+            .expect("spawn");
+        assert!(out.status.success(), "{lang}: {out:?}");
+        let path = tmp_file(
+            &format!("shipped-{lang}"),
+            &String::from_utf8_lossy(&out.stdout),
+        );
+        let dir = std::env::temp_dir().join(format!(
+            "costar-cli-test-cache-{lang}-{}",
+            std::process::id()
+        ));
+        let _ = std::fs::remove_dir_all(&dir);
+        std::fs::create_dir_all(&dir).expect("mkdir cache dir");
+        let run = |extra: &[&str]| {
+            let out = costar()
+                .args(["parse", "--lang", lang, "--stats=json"])
+                .args(extra)
+                .arg(&path)
+                .env("COSTAR_CACHE_DIR", &dir)
+                .output()
+                .expect("spawn");
+            assert!(out.status.success(), "{lang}: {out:?}");
+            String::from_utf8(out.stdout).expect("utf8")
+        };
+        let shipped = run(&[]);
+        let entries: Vec<_> = std::fs::read_dir(&dir)
+            .expect("read cache dir")
+            .map(|e| e.expect("dir entry").path())
+            .collect();
+        assert!(entries.is_empty(), "{lang}: --lang wrote {entries:?}");
+        let computed = run(&["--no-grammar-cache"]);
+        let counters = stats_counters(&shipped);
+        assert!(
+            counters
+                .iter()
+                .any(|kv| kv.starts_with("\"machine_steps\":")),
+            "{lang}: {shipped}"
+        );
+        assert_eq!(counters, stats_counters(&computed), "{lang}");
+        let _ = std::fs::remove_file(path);
+        let _ = std::fs::remove_dir_all(dir);
+    }
+}
+
 #[test]
 fn cache_cap_degrades_without_changing_the_verdict() {
     let out = costar()

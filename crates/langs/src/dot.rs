@@ -63,9 +63,19 @@ fn lexer_spec() -> LexerSpec {
     spec
 }
 
+/// The grammar's analysis, computed ahead of time (see
+/// [`Language::analysis`]).
+const ANALYSIS: &str = include_str!("../analysis/dot.cache.json");
+
 /// Builds the DOT [`Language`].
 pub fn language() -> Language {
-    Language::build("DOT", GRAMMAR, &lexer_spec(), TokenizerKind::Plain)
+    Language::build(
+        "DOT",
+        GRAMMAR,
+        ANALYSIS,
+        &lexer_spec(),
+        TokenizerKind::Plain,
+    )
 }
 
 /// Generates a random DOT graph whose token count grows roughly linearly

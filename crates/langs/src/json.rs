@@ -38,9 +38,19 @@ fn lexer_spec() -> LexerSpec {
     spec
 }
 
+/// The grammar's analysis, computed ahead of time (see
+/// [`Language::analysis`]).
+const ANALYSIS: &str = include_str!("../analysis/json.cache.json");
+
 /// Builds the JSON [`Language`].
 pub fn language() -> Language {
-    Language::build("JSON", GRAMMAR, &lexer_spec(), TokenizerKind::Plain)
+    Language::build(
+        "JSON",
+        GRAMMAR,
+        ANALYSIS,
+        &lexer_spec(),
+        TokenizerKind::Plain,
+    )
 }
 
 /// Generates a random JSON document whose token count grows roughly

@@ -12,6 +12,11 @@
 //!   the paper used to pre-tokenize input) — Python additionally layers
 //!   the INDENT/DEDENT/NEWLINE logical-line discipline on top of the DFA
 //!   scanner, like CPython's tokenizer;
+//! * the grammar's analysis (`GrammarAnalysis`), computed ahead of time
+//!   and shipped as its cache document in `analysis/`, so a process that
+//!   parses with a bundled language does no grammar analysis at start-up
+//!   (the paper likewise computes its grammar facts, such as the stable
+//!   return frames of §3.5, once and before parsing);
 //! * a seeded synthetic source generator. The paper's corpora (Open
 //!   American National Corpus XML, the ANTLR evaluation's DOT files, the
 //!   Python 3.6 standard library) are not redistributable here, so each
@@ -26,6 +31,7 @@ pub mod json;
 pub mod python;
 pub mod xml;
 
+use costar_grammar::analysis::{from_cache_json, GrammarAnalysis};
 use costar_grammar::{Grammar, SymbolTable, Token};
 use costar_lexer::{LexError, Lexer, LexerSpec};
 
@@ -45,6 +51,7 @@ pub struct Language {
     /// Display name ("JSON", "XML", "DOT", "Python").
     pub name: &'static str,
     grammar: Grammar,
+    analysis: &'static str,
     lexer: Lexer,
     tokenizer: TokenizerKind,
     /// Nonterminals the EBNF desugaring introduced (for Fig. 8 notes).
@@ -55,6 +62,7 @@ impl Language {
     fn build(
         name: &'static str,
         ebnf_src: &str,
+        analysis: &'static str,
         spec: &LexerSpec,
         tokenizer: TokenizerKind,
     ) -> Language {
@@ -73,6 +81,7 @@ impl Language {
         Language {
             name,
             grammar,
+            analysis,
             lexer,
             tokenizer,
             fresh_nonterminals: stats.fresh_nonterminals,
@@ -82,6 +91,23 @@ impl Language {
     /// The language's (desugared BNF) grammar.
     pub fn grammar(&self) -> &Grammar {
         &self.grammar
+    }
+
+    /// The grammar's analysis, loaded from the document shipped with the
+    /// language. Loading goes through the validating
+    /// [`from_cache_json`], so the certificates are replayed against the
+    /// grammar; a document that no longer matches the grammar is
+    /// recomputed instead (`tests/analysis_pins.rs` keeps the shipped
+    /// documents current, so that fallback never runs in a tested tree).
+    pub fn analysis(&self) -> GrammarAnalysis {
+        from_cache_json(&self.grammar, self.analysis)
+            .unwrap_or_else(|| GrammarAnalysis::compute(&self.grammar))
+    }
+
+    /// The shipped analysis document (`to_cache_json` of the grammar's
+    /// analysis) that [`Language::analysis`] loads.
+    pub fn analysis_document(&self) -> &'static str {
+        self.analysis
     }
 
     /// The language's compiled lexer.
@@ -127,15 +153,26 @@ impl Language {
 /// Larger knob values produce longer documents, roughly linearly.
 pub type Generator = fn(u64, usize) -> String;
 
+/// Builds one benchmark language (its `language()` function).
+pub type Constructor = fn() -> Language;
+
+/// The four benchmark languages by lowercase name, each with its
+/// constructor and generator, in the paper's Fig. 8 order. Calling one
+/// constructor builds only that language.
+pub const LANGUAGES: [(&str, Constructor, Generator); 4] = [
+    ("json", json::language, json::generate),
+    ("xml", xml::language, xml::generate),
+    ("dot", dot::language, dot::generate),
+    ("python", python::language, python::generate),
+];
+
 /// All four benchmark languages with their generators, in the paper's
 /// Fig. 8 order.
 pub fn all_languages() -> Vec<(Language, Generator)> {
-    vec![
-        (json::language(), json::generate as Generator),
-        (xml::language(), xml::generate as Generator),
-        (dot::language(), dot::generate as Generator),
-        (python::language(), python::generate as Generator),
-    ]
+    LANGUAGES
+        .iter()
+        .map(|&(_, build, generate)| (build(), generate))
+        .collect()
 }
 
 /// Generates a corpus of files across a spread of sizes, mirroring the
@@ -162,6 +199,9 @@ mod tests {
         assert_eq!(langs.len(), 4);
         let names: Vec<&str> = langs.iter().map(|(l, _)| l.name).collect();
         assert_eq!(names, vec!["JSON", "XML", "DOT", "Python"]);
+        for ((key, _, _), name) in LANGUAGES.iter().zip(names) {
+            assert_eq!(*key, name.to_lowercase());
+        }
     }
 
     #[test]

@@ -134,11 +134,16 @@ fn lexer_spec() -> LexerSpec {
     spec
 }
 
+/// The grammar's analysis, computed ahead of time (see
+/// [`Language::analysis`]).
+const ANALYSIS: &str = include_str!("../analysis/python.cache.json");
+
 /// Builds the Python-like [`Language`].
 pub fn language() -> Language {
     Language::build(
         "Python",
         GRAMMAR,
+        ANALYSIS,
         &lexer_spec(),
         TokenizerKind::PythonIndent,
     )

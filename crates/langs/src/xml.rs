@@ -52,9 +52,19 @@ fn lexer_spec() -> LexerSpec {
     spec
 }
 
+/// The grammar's analysis, computed ahead of time (see
+/// [`Language::analysis`]).
+const ANALYSIS: &str = include_str!("../analysis/xml.cache.json");
+
 /// Builds the XML [`Language`].
 pub fn language() -> Language {
-    Language::build("XML", GRAMMAR, &lexer_spec(), TokenizerKind::Plain)
+    Language::build(
+        "XML",
+        GRAMMAR,
+        ANALYSIS,
+        &lexer_spec(),
+        TokenizerKind::Plain,
+    )
 }
 
 /// Generates a random XML document whose token count grows roughly
