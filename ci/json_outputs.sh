@@ -5,8 +5,8 @@
 # the four languages and the fixture grammars; parse --stats=json,
 # --recover=json and both, per language, on a generated file and on a
 # copy with one token deleted (on a computed analysis, and both flags
-# again on the shipped one); a two-file --jobs 2 batch; and
-# edit --format=json.
+# again on the shipped one); --stats=json with --trace-buffer on the
+# damaged copy; a two-file --jobs 2 batch; and edit --format=json.
 #
 # Usage (after `cargo build --release`): ci/json_outputs.sh [COSTAR_BINARY]
 set -u
@@ -77,6 +77,9 @@ for lang in json xml dot python; do
         # The same parse on the analysis the binary ships with.
         check parse --lang "$lang" --stats=json --recover=json "$file"
     done
+    # Metrics and trace observers paired on one parse: the trace dump
+    # goes to stderr, so stdout still carries exactly one document.
+    check parse --lang "$lang" --stats=json --trace-buffer 16 "$damaged"
     check parse --lang "$lang" --no-grammar-cache --jobs 2 --stats=json --recover=json "$clean" "$damaged"
 done
 

@@ -280,7 +280,7 @@ fn ablation_incremental(c: &mut Criterion) {
 fn ablation_observer_overhead(c: &mut Criterion) {
     // Cost of the observability layer per observer flavor. The "null"
     // arms are the ≤2%-overhead acceptance check: `parse` *is*
-    // `run(word, false, &mut NullObserver)`, monomorphized with every hook
+    // `run(word, false, &mut NullObserver)`, monomorphized with `on_event`
     // an empty inline default, so the two must time identically — any
     // spread between them is measurement noise, and any spread between
     // them and the pre-observer parser is the layer's true cost.

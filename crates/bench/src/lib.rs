@@ -496,17 +496,20 @@ pub struct PredictionProfileRow {
     /// Language name.
     pub name: &'static str,
     /// Multi-alternative decisions.
-    pub predictions: u64,
+    pub decisions: u64,
     /// Single-alternative short-circuits.
     pub single_alternative: u64,
-    /// Fraction of decisions SLL resolved without failover.
+    /// Decisions dispatched through the static LL(1) lookahead map.
+    pub static_fast_path_hits: u64,
+    /// Fraction of simulated decisions SLL resolved without failover.
     pub sll_fraction: f64,
     /// LL failovers.
     pub failovers: u64,
-    /// Mean lookahead tokens per decision.
+    /// Mean lookahead tokens per prediction phase
+    /// ([`ParseMetrics::lookahead_depth`]).
     pub mean_lookahead: f64,
-    /// Deepest lookahead any decision needed.
-    pub max_lookahead: usize,
+    /// Deepest lookahead any prediction phase needed.
+    pub max_lookahead: u64,
 }
 
 /// Decision behavior per benchmark language.
@@ -516,34 +519,42 @@ pub struct PredictionProfile {
     pub rows: Vec<PredictionProfileRow>,
 }
 
-/// Profiles `adaptivePredict` (paper §3.4) across the corpora: how many
-/// decisions there are, how many SLL settles, how often the LL failover
-/// runs, and how much lookahead decisions need. The original ALL(*)
-/// evaluation reports these quantities for ANTLR; they explain *why* the
-/// cached-SLL design is the common case fast path.
+/// Profiles `adaptivePredict` (paper §3.4) across the corpora from merged
+/// [`ParseMetrics`]: how many decisions there are, how many the static
+/// LL(1) map dispatches, how many SLL settles, how often the LL failover
+/// runs, and how much lookahead prediction phases need. The original
+/// ALL(*) evaluation reports these quantities for ANTLR; they explain
+/// *why* the cached-SLL design is the common case fast path.
+///
+/// Lookahead is [`ParseMetrics::lookahead_depth`]: the tokens each SLL or
+/// LL phase charged, counting the end-of-input charge; statically
+/// dispatched decisions run no phase and record none.
 pub fn prediction_profile(cfg: &Config) -> PredictionProfile {
     let rows = prepare_corpora(cfg)
         .into_iter()
         .map(|c| {
             let mut parser = Parser::new(c.lang.grammar().clone());
             parser.set_cache_policy(CachePolicy::Persistent);
+            let mut m = ParseMetrics::default();
             for w in &c.words {
-                expect_unique(c.lang.name, &parser.parse(w));
+                let (outcome, one) = parser.parse_with_metrics(w);
+                expect_unique(c.lang.name, &outcome);
+                m.merge(&one);
             }
-            let s = parser.prediction_stats();
-            let decided = s.sll_resolved + s.failovers;
+            let simulated = m.sll_resolved + m.failovers;
             PredictionProfileRow {
                 name: c.lang.name,
-                predictions: s.predictions,
-                single_alternative: s.single_alternative,
-                sll_fraction: if decided == 0 {
+                decisions: m.decisions,
+                single_alternative: m.single_alternative,
+                static_fast_path_hits: m.static_fast_path_hits,
+                sll_fraction: if simulated == 0 {
                     1.0
                 } else {
-                    s.sll_resolved as f64 / decided as f64
+                    m.sll_resolved as f64 / simulated as f64
                 },
-                failovers: s.failovers,
-                mean_lookahead: s.mean_lookahead(),
-                max_lookahead: s.max_lookahead,
+                failovers: m.failovers,
+                mean_lookahead: m.lookahead_depth.mean(),
+                max_lookahead: m.lookahead_depth.max(),
             }
         })
         .collect();
@@ -555,16 +566,17 @@ impl fmt::Display for PredictionProfile {
         writeln!(f, "Prediction profile: adaptivePredict behavior per corpus")?;
         writeln!(
             f,
-            "{:<10} {:>11} {:>11} {:>8} {:>10} {:>10} {:>8}",
-            "Benchmark", "decisions", "1-alt", "SLL %", "failovers", "mean LA", "max LA"
+            "{:<10} {:>11} {:>11} {:>11} {:>8} {:>10} {:>10} {:>8}",
+            "Benchmark", "decisions", "1-alt", "static", "SLL %", "failovers", "mean LA", "max LA"
         )?;
         for r in &self.rows {
             writeln!(
                 f,
-                "{:<10} {:>11} {:>11} {:>7.1}% {:>10} {:>10.2} {:>8}",
+                "{:<10} {:>11} {:>11} {:>11} {:>7.1}% {:>10} {:>10.2} {:>8}",
                 r.name,
-                r.predictions,
+                r.decisions,
                 r.single_alternative,
+                r.static_fast_path_hits,
                 r.sll_fraction * 100.0,
                 r.failovers,
                 r.mean_lookahead,
@@ -1707,7 +1719,7 @@ mod tests {
         let p = prediction_profile(&tiny());
         assert_eq!(p.rows.len(), 4);
         for r in &p.rows {
-            assert!(r.predictions > 0, "{}", r.name);
+            assert!(r.decisions > 0, "{}", r.name);
             assert!((0.0..=1.0).contains(&r.sll_fraction));
             assert!(r.mean_lookahead >= 0.0);
         }

@@ -66,8 +66,8 @@
 //! accept — a bounded post-mortem of what the machine was doing.
 
 use costar::{
-    BatchItemResult, BatchParser, Budget, Edit, EditError, NullObserver, ParseOutcome, Parser,
-    TraceObserver,
+    exit_code, BatchItemResult, BatchParser, Budget, Edit, EditError, NullObserver, ParseOutcome,
+    Parser, TraceObserver,
 };
 use costar_baselines::Ll1Parser;
 use costar_grammar::analysis::GrammarAnalysis;
@@ -357,53 +357,38 @@ fn cmd_parse(
         eprintln!("error: {}", render::describe_diagnostic(g, d));
     }
     let n = tokens.len();
-    let (line, code) = match (&recovered.outcome, recovering) {
-        (ParseOutcome::Unique(_) | ParseOutcome::Ambig(_), true) => (
-            format!("parsed cleanly ({n} tokens, no recovery needed)"),
-            ExitCode::SUCCESS,
-        ),
-        (ParseOutcome::Unique(t), false) => (
-            format!("unique parse ({n} tokens, {} tree nodes)", t.size()),
-            ExitCode::SUCCESS,
-        ),
-        (ParseOutcome::Ambig(t), false) => (
-            format!(
-                "AMBIGUOUS input ({n} tokens); one of its parse trees has {} nodes",
-                t.size()
-            ),
-            ExitCode::SUCCESS,
+    let line = match (&recovered.outcome, recovering) {
+        (ParseOutcome::Unique(_) | ParseOutcome::Ambig(_), true) => {
+            format!("parsed cleanly ({n} tokens, no recovery needed)")
+        }
+        (ParseOutcome::Unique(t), false) => {
+            format!("unique parse ({n} tokens, {} tree nodes)", t.size())
+        }
+        (ParseOutcome::Ambig(t), false) => format!(
+            "AMBIGUOUS input ({n} tokens); one of its parse trees has {} nodes",
+            t.size()
         ),
         (ParseOutcome::Reject(_), true) => {
             let errors = recovered.diagnostics.len();
             let skipped: usize = recovered.diagnostics.iter().map(|d| d.skipped).sum();
-            (
-                format!(
-                    "parsed with {errors} syntax error{} ({n} tokens, {skipped} skipped)",
-                    if errors == 1 { "" } else { "s" }
-                ),
-                ExitCode::from(4),
+            format!(
+                "parsed with {errors} syntax error{} ({n} tokens, {skipped} skipped)",
+                if errors == 1 { "" } else { "s" }
             )
         }
-        (ParseOutcome::Reject(reason), false) => (
-            format!("reject: {}", render::describe_reject(g, reason)),
-            ExitCode::FAILURE,
-        ),
-        (ParseOutcome::Error(e), _) => (
-            format!("error: {}", render::describe_error(g, e)),
-            ExitCode::FAILURE,
-        ),
-        (ParseOutcome::Aborted(r), true) => (
-            format!("aborted: {r} — recovery gave up before resolving the input"),
-            ExitCode::from(3),
-        ),
-        (ParseOutcome::Aborted(r), false) => (
-            format!(
-                "aborted: {r} — input neither accepted nor rejected \
-                 (raise --max-steps/--deadline-ms to resolve it)"
-            ),
-            ExitCode::from(3),
+        (ParseOutcome::Reject(reason), false) => {
+            format!("reject: {}", render::describe_reject(g, reason))
+        }
+        (ParseOutcome::Error(e), _) => format!("error: {}", render::describe_error(g, e)),
+        (ParseOutcome::Aborted(r), true) => {
+            format!("aborted: {r} — recovery gave up before resolving the input")
+        }
+        (ParseOutcome::Aborted(r), false) => format!(
+            "aborted: {r} — input neither accepted nor rejected \
+             (raise --max-steps/--deadline-ms to resolve it)"
         ),
     };
+    let code = ExitCode::from(exit_code(&recovered.outcome, &recovered.diagnostics));
     // The verdict line goes to stdout, except under `--recover` (status
     // lines on stderr) and `--stats=json` (stdout carries the report).
     if recovering || stats == StatsMode::Json {
@@ -430,17 +415,16 @@ fn cmd_parse(
             m.recoveries, m.tokens_skipped, m.machine_steps, m.prediction_steps
         ),
         (StatsMode::Human, Some(m)) => {
-            let s = parser.prediction_stats();
             eprintln!(
                 "decisions: {} (+{} single-alt), static fast path {}, SLL-resolved {}, \
                  failovers {}, lookahead mean {:.2} max {}",
-                s.predictions,
-                s.single_alternative,
-                s.static_fast_path,
-                s.sll_resolved,
-                s.failovers,
-                s.mean_lookahead(),
-                s.max_lookahead
+                m.decisions,
+                m.single_alternative,
+                m.static_fast_path_hits,
+                m.sll_resolved,
+                m.failovers,
+                m.lookahead_depth.mean(),
+                m.lookahead_depth.max()
             );
             eprintln!(
                 "steps: {} machine + {} prediction = {} metered \
@@ -666,8 +650,7 @@ fn cmd_parse_batch(
             if result.jobs == 1 { "" } else { "s" }
         );
     }
-    let code = u8::try_from(result.exit_code()).unwrap_or(1);
-    Ok(ExitCode::from(code))
+    Ok(ExitCode::from(result.exit_code()))
 }
 
 /// One applied edit's report row, shared by the human and JSON renderers
@@ -743,14 +726,6 @@ fn outcome_word(o: &ParseOutcome) -> &'static str {
     }
 }
 
-fn outcome_exit(o: &ParseOutcome) -> u8 {
-    match o {
-        ParseOutcome::Unique(_) | ParseOutcome::Ambig(_) => 0,
-        ParseOutcome::Reject(_) | ParseOutcome::Error(_) => 1,
-        ParseOutcome::Aborted(_) => 3,
-    }
-}
-
 /// `costar edit`: replay a JSON edit script against one source file,
 /// re-lexing incrementally and re-parsing only when the token vector
 /// changed, with per-edit latency reporting.
@@ -823,7 +798,7 @@ fn cmd_edit(
                 return Ok(ExitCode::FAILURE);
             }
         };
-        exit = outcome_exit(session.outcome());
+        exit = exit_code(session.outcome(), &[]);
         verdict(format!(
             "initial: {} ({} tokens, incremental lexing)",
             outcome_word(session.outcome()),
@@ -854,7 +829,7 @@ fn cmd_edit(
                         outcome: outcome_word(session.outcome()),
                         oracle_ok,
                     };
-                    exit = outcome_exit(session.outcome());
+                    exit = exit_code(session.outcome(), &[]);
                     if row.oracle_ok == Some(false) {
                         eprintln!(
                             "error: edit {i}: oracle mismatch — spliced tokens \
@@ -898,7 +873,7 @@ fn cmd_edit(
             }
         };
         let mut outcome = parser.parse(&tokens);
-        exit = outcome_exit(&outcome);
+        exit = exit_code(&outcome, &[]);
         verdict(format!(
             "initial: {} ({} tokens, full re-tokenize per edit: {} does not lex \
              incrementally)",
@@ -944,7 +919,7 @@ fn cmd_edit(
                 // The tokens ARE a from-scratch lex here; nothing to check.
                 oracle_ok: oracle.then_some(true),
             };
-            exit = outcome_exit(&outcome);
+            exit = exit_code(&outcome, &[]);
             if !json_mode {
                 println!("{}", row.human(i, tokens.len()));
             }

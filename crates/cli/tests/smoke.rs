@@ -473,6 +473,66 @@ fn bundled_languages_parse_with_their_shipped_analysis_and_no_disk_cache() {
 }
 
 #[test]
+fn human_stats_decision_line_matches_stats_json() {
+    // `--stats` and `--stats=json` read the same `ParseMetrics`: every
+    // number on the human decision line is a field of the JSON report,
+    // the lookahead mean and max included.
+    for lang in ["json", "xml", "dot", "python"] {
+        let out = costar()
+            .args(["generate", "--lang", lang, "--size", "60", "--seed", "13"])
+            .output()
+            .expect("spawn");
+        assert!(out.status.success(), "{lang}: {out:?}");
+        let path = tmp_file(
+            &format!("human-stats-{lang}"),
+            &String::from_utf8_lossy(&out.stdout),
+        );
+        let run = |flag: &str| {
+            let out = costar()
+                .args(["parse", "--lang", lang, flag])
+                .arg(&path)
+                .output()
+                .expect("spawn");
+            assert!(out.status.success(), "{lang}: {out:?}");
+            out
+        };
+        let human = String::from_utf8(run("--stats").stderr).expect("utf8");
+        let line = human
+            .lines()
+            .find(|l| l.starts_with("decisions:"))
+            .unwrap_or_else(|| panic!("{lang}: no decision line in {human}"));
+        let stats = String::from_utf8(run("--stats=json").stdout).expect("utf8");
+        // The first `"key":<integer>` in `doc` (the report's keys are
+        // unique at top level; `lookahead_depth` is its last object).
+        let field = |doc: &str, key: &str| -> u64 {
+            let pat = format!("\"{key}\":");
+            let at = doc.find(&pat).unwrap_or_else(|| panic!("{lang}: no {key}")) + pat.len();
+            let digits: String = doc[at..].chars().take_while(char::is_ascii_digit).collect();
+            digits.parse().expect("an integer field")
+        };
+        let depth = &stats[stats.find("\"lookahead_depth\":").expect("lookahead_depth")..];
+        let (count, sum) = (field(depth, "count"), field(depth, "sum"));
+        let mean = if count == 0 {
+            0.0
+        } else {
+            sum as f64 / count as f64
+        };
+        let expected = format!(
+            "decisions: {} (+{} single-alt), static fast path {}, SLL-resolved {}, \
+             failovers {}, lookahead mean {mean:.2} max {}",
+            field(&stats, "decisions"),
+            field(&stats, "single_alternative"),
+            field(&stats, "static_fast_path_hits"),
+            field(&stats, "sll_resolved"),
+            field(&stats, "failovers"),
+            field(depth, "max"),
+        );
+        assert_eq!(line, expected, "{lang}");
+        let _ = std::fs::remove_file(path);
+    }
+}
+
+#[test]
 fn cache_cap_degrades_without_changing_the_verdict() {
     let out = costar()
         .args(["generate", "--lang", "json", "--size", "120", "--seed", "3"])

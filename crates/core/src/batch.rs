@@ -52,7 +52,7 @@ use crate::machine::ParseOutcome;
 use crate::observe::{NullObserver, ParseMetrics};
 use crate::parser::{CachePolicy, Parser};
 use crate::prediction::cache::SllCache;
-use crate::recover::RecoveredParse;
+use crate::recover::{exit_code, RecoveredParse};
 use costar_grammar::analysis::GrammarAnalysis;
 use costar_grammar::{Grammar, Token, Tree};
 use std::sync::atomic::{AtomicUsize, Ordering};
@@ -139,22 +139,13 @@ impl BatchItem {
         }
     }
 
-    /// The CLI exit class for this input alone: 0 accepted (or recovered
-    /// cleanly), 1 rejected or internal error, 3 budget abort, 4 parsed
-    /// with recovered errors.
-    pub fn exit_code(&self) -> i32 {
+    /// The CLI exit class for this input alone ([`crate::exit_code`]): 0
+    /// accepted (or recovered cleanly), 1 rejected or internal error, 3
+    /// budget abort, 4 parsed with recovered errors.
+    pub fn exit_code(&self) -> u8 {
         match &self.result {
-            BatchItemResult::Plain(o) => match o {
-                ParseOutcome::Unique(_) | ParseOutcome::Ambig(_) => 0,
-                ParseOutcome::Reject(_) | ParseOutcome::Error(_) => 1,
-                ParseOutcome::Aborted(_) => 3,
-            },
-            BatchItemResult::Recovered(r) => match &r.outcome {
-                ParseOutcome::Unique(_) | ParseOutcome::Ambig(_) => 0,
-                ParseOutcome::Reject(_) => 4,
-                ParseOutcome::Error(_) => 1,
-                ParseOutcome::Aborted(_) => 3,
-            },
+            BatchItemResult::Plain(o) => exit_code(o, &[]),
+            BatchItemResult::Recovered(r) => exit_code(&r.outcome, &r.diagnostics),
         }
     }
 }
@@ -178,8 +169,8 @@ impl BatchResult {
     /// then rejected/internal error, then budget abort (an abort means
     /// the batch's verdict on that input is unknown, which outranks a
     /// definite rejection).
-    pub fn exit_code(&self) -> i32 {
-        fn severity(code: i32) -> u8 {
+    pub fn exit_code(&self) -> u8 {
+        fn severity(code: u8) -> u8 {
             match code {
                 0 => 0,
                 4 => 1,

@@ -18,7 +18,7 @@ use crate::budget::Budget;
 use crate::invariants::{check_all_with_input, InvariantViolation};
 use crate::machine::{Machine, ParseOutcome, StepResult};
 use crate::measure::{meas, Measure};
-use crate::observe::{MetricsObserver, ParseMetrics, ParseObserver};
+use crate::observe::{Event, MetricsObserver, ParseMetrics, ParseObserver};
 use crate::prediction::cache::SllCache;
 use costar_grammar::analysis::GrammarAnalysis;
 use costar_grammar::{Grammar, Token};
@@ -135,7 +135,9 @@ pub fn run_instrumented_with(
             StepResult::Abort(r) => break ParseOutcome::Aborted(r),
         }
     };
-    obs.on_finish(machine.steps_taken());
+    obs.on_event(Event::Finish {
+        meter_steps: machine.steps_taken(),
+    });
     let mut metrics = obs.into_metrics();
     metrics.tokens = word.len();
     Ok((outcome, metrics))

@@ -61,10 +61,10 @@
 //!   derived from the §4 termination measure, wall-clock deadlines, stack
 //!   depth and cache capacity limits, surfacing as
 //!   [`ParseOutcome::Aborted`] instead of unbounded work.
-//! * [`observe`] — zero-cost-when-disabled observability: the
-//!   [`ParseObserver`] hook trait, [`MetricsObserver`]/[`ParseMetrics`]
-//!   for counters and latency histograms, and [`TraceObserver`] for
-//!   bounded post-mortem event traces.
+//! * [`observe`] — zero-cost-when-disabled observability: one [`Event`]
+//!   schema delivered to a [`ParseObserver`], [`MetricsObserver`]/
+//!   [`ParseMetrics`] for counters and latency histograms, and
+//!   [`TraceObserver`] for bounded post-mortem event traces.
 //! * [`batch`] — parallel batch parsing: [`BatchParser`] runs clones of
 //!   one [`Parser`] — sharing its immutable grammar + analysis, each with
 //!   a private prediction cache — as a worker pool, with results
@@ -109,11 +109,11 @@ pub use error::{ParseError, RejectReason};
 pub use faults::FaultPlan;
 pub use machine::{Machine, ParseOutcome, PredictionMode, StepResult};
 pub use observe::{
-    MetricsObserver, NullObserver, ParseMetrics, ParseObserver, TraceEvent, TraceObserver,
+    Event, MetricsObserver, NullObserver, ParseMetrics, ParseObserver, TraceEvent, TraceObserver,
 };
 pub use parser::{parse, CachePolicy, Parser};
-pub use prediction::cache::{CacheStats, PredictionStats, SllCache};
-pub use recover::{Diagnostic, RecoveredParse};
+pub use prediction::cache::{CacheStats, SllCache};
+pub use recover::{exit_code, Diagnostic, RecoveredParse};
 pub use session::{ParseSession, SessionReparse};
 // The lexer-side session vocabulary, re-exported so edit-session callers
 // (the CLI, the verify harnesses) need only this crate.

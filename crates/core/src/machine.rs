@@ -12,7 +12,7 @@
 #![warn(clippy::disallowed_methods, clippy::disallowed_macros)]
 use crate::budget::{AbortReason, Budget, Meter};
 use crate::error::{ParseError, RejectReason};
-use crate::observe::{MachineOp, NullObserver, ParseObserver};
+use crate::observe::{Event, MachineOp, NullObserver, ParseObserver};
 use crate::prediction::cache::SllCache;
 use crate::prediction::{adaptive_predict, ll_only_predict, Prediction};
 use crate::recover::{self, Diagnostic, RecoveredParse};
@@ -219,7 +219,7 @@ impl<'a> Machine<'a> {
     /// step's events. Monomorphized per observer type; with
     /// [`NullObserver`] this compiles to the unobserved step.
     ///
-    /// [`ParseObserver::on_machine_step`] fires immediately after the
+    /// [`Event::MachineStep`] fires immediately after the
     /// successful fuel charge, so observer step counts reconcile exactly
     /// with [`Machine::steps_taken`].
     pub fn step_observed<O: ParseObserver>(
@@ -227,11 +227,14 @@ impl<'a> Machine<'a> {
         cache: &mut SllCache,
         obs: &mut O,
     ) -> StepResult {
-        if let Err(r) = self.meter.charge(1) {
-            obs.on_abort(&r);
-            return StepResult::Abort(r);
+        if let Err(reason) = self.meter.charge(1) {
+            obs.on_event(Event::Abort { reason });
+            return StepResult::Abort(reason);
         }
-        obs.on_machine_step(self.state.cursor, self.state.suffix.len());
+        obs.on_event(Event::MachineStep {
+            cursor: self.state.cursor,
+            stack_height: self.state.suffix.len(),
+        });
         // Audited: the fault-injection harness exists precisely to throw
         // panics at the panic-safety wrapper; it is compiled out of
         // default builds.
@@ -303,7 +306,11 @@ impl<'a> Machine<'a> {
             };
             caller_frame.trees.push(Tree::Node(x, popped.trees));
             st.visited.remove(x);
-            obs.on_op(MachineOp::Return, st.cursor, st.suffix.len());
+            obs.on_event(Event::Op {
+                op: MachineOp::Return,
+                cursor: st.cursor,
+                stack_height: st.suffix.len(),
+            });
             return StepResult::Cont;
         }
 
@@ -328,7 +335,11 @@ impl<'a> Machine<'a> {
                         // refcount bump — no allocation in the hot consume
                         // path.
                         st.prefix[top].trees.push(Tree::Leaf(t.clone()));
-                        obs.on_op(MachineOp::Consume, st.cursor, st.suffix.len());
+                        obs.on_event(Event::Op {
+                            op: MachineOp::Consume,
+                            cursor: st.cursor,
+                            stack_height: st.suffix.len(),
+                        });
                         st.cursor += 1;
                         st.visited.clear();
                         StepResult::Cont
@@ -347,9 +358,9 @@ impl<'a> Machine<'a> {
                 if st.visited.contains(x) {
                     return StepResult::Error(ParseError::LeftRecursive(x));
                 }
-                if let Err(r) = self.meter.check_depth(st.suffix.len() + 1) {
-                    obs.on_abort(&r);
-                    return StepResult::Abort(r);
+                if let Err(reason) = self.meter.check_depth(st.suffix.len() + 1) {
+                    obs.on_event(Event::Abort { reason });
+                    return StepResult::Abort(reason);
                 }
                 let prediction = match self.mode {
                     PredictionMode::Adaptive | PredictionMode::AdaptiveNoStatic => {
@@ -409,7 +420,11 @@ impl<'a> Machine<'a> {
                     dot: 0,
                 });
                 st.visited.insert(x);
-                obs.on_op(MachineOp::Push, st.cursor, st.suffix.len());
+                obs.on_event(Event::Op {
+                    op: MachineOp::Push,
+                    cursor: st.cursor,
+                    stack_height: st.suffix.len(),
+                });
                 StepResult::Cont
             }
         }
@@ -426,7 +441,7 @@ impl<'a> Machine<'a> {
     }
 
     /// [`run`](Machine::run) with a [`ParseObserver`] receiving every
-    /// event, including a final [`ParseObserver::on_finish`] carrying the
+    /// event, including a final [`Event::Finish`] carrying the
     /// meter's total fuel count.
     pub fn run_observed<O: ParseObserver>(self, cache: &mut SllCache, obs: &mut O) -> ParseOutcome {
         self.multistep(cache, obs, false).outcome
@@ -490,9 +505,14 @@ impl<'a> Machine<'a> {
             )
         {
             let bound = self.analysis.cost.bound_for(self.tokens.len() as u64);
-            obs.on_cost_check(bound, self.meter.steps_taken() <= bound);
+            obs.on_event(Event::CostCheck {
+                predicted_steps: bound,
+                within_bound: self.meter.steps_taken() <= bound,
+            });
         }
-        obs.on_finish(self.meter.steps_taken());
+        obs.on_event(Event::Finish {
+            meter_steps: self.meter.steps_taken(),
+        });
         RecoveredParse {
             error_tree,
             diagnostics,

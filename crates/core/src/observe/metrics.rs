@@ -1,10 +1,9 @@
 //! The metrics observer: counters and per-phase latency histograms,
 //! aggregated into a serializable [`ParseMetrics`].
 
-use super::{MachineOp, ParseObserver, PredictOutcome, PredictPhase};
+use super::{DecisionPath, Event, MachineOp, ParseObserver, PredictOutcome, PredictPhase};
 use crate::budget::AbortReason;
 use costar_grammar::json::{self, Fixed, JsonWriter};
-use costar_grammar::NonTerminal;
 use std::time::Instant;
 
 const BUCKETS: usize = 40;
@@ -404,121 +403,105 @@ impl MetricsObserver {
 }
 
 impl ParseObserver for MetricsObserver {
-    fn on_machine_step(&mut self, _cursor: usize, stack_height: usize) {
-        self.m.machine_steps += 1;
-        self.m.max_stack_height = self.m.max_stack_height.max(stack_height);
-    }
-
-    fn on_op(&mut self, op: MachineOp, _cursor: usize, stack_height: usize) {
-        match op {
-            MachineOp::Push => self.m.pushes += 1,
-            MachineOp::Consume => self.m.consumes += 1,
-            MachineOp::Return => self.m.returns += 1,
-        }
-        self.m.max_stack_height = self.m.max_stack_height.max(stack_height);
-    }
-
-    fn on_predict_start(&mut self, _x: NonTerminal, _phase: PredictPhase) {
-        self.phase_start = Some(Instant::now());
-        self.phase_lookahead = 0;
-    }
-
-    fn on_lookahead(&mut self, phase: PredictPhase) {
-        self.m.prediction_steps += 1;
-        self.phase_lookahead += 1;
-        match phase {
-            PredictPhase::Sll => self.m.sll_steps += 1,
-            PredictPhase::Ll => self.m.ll_steps += 1,
-        }
-    }
-
-    fn on_predict_end(&mut self, _x: NonTerminal, phase: PredictPhase, _outcome: PredictOutcome) {
-        if let Some(start) = self.phase_start.take() {
-            let ns = u64::try_from(start.elapsed().as_nanos()).unwrap_or(u64::MAX);
-            match phase {
-                PredictPhase::Sll => self.m.sll_latency_ns.record(ns),
-                PredictPhase::Ll => self.m.ll_latency_ns.record(ns),
+    /// Always inlined: each call site passes a constant variant, so the
+    /// inlined `match` folds to the one counter update its event implies.
+    /// A plain `#[inline]` hint leaves this many-armed body out of line
+    /// at some sites, paying a call and a jump table per machine step.
+    #[inline(always)]
+    fn on_event(&mut self, e: Event) {
+        let m = &mut self.m;
+        match e {
+            Event::MachineStep { stack_height, .. } => {
+                m.machine_steps += 1;
+                m.max_stack_height = m.max_stack_height.max(stack_height);
             }
+            Event::Op {
+                op, stack_height, ..
+            } => {
+                match op {
+                    MachineOp::Push => m.pushes += 1,
+                    MachineOp::Consume => m.consumes += 1,
+                    MachineOp::Return => m.returns += 1,
+                }
+                m.max_stack_height = m.max_stack_height.max(stack_height);
+            }
+            Event::PredictStart { .. } => {
+                self.phase_start = Some(Instant::now());
+                self.phase_lookahead = 0;
+            }
+            Event::Lookahead { phase } => {
+                m.prediction_steps += 1;
+                self.phase_lookahead += 1;
+                match phase {
+                    PredictPhase::Sll => m.sll_steps += 1,
+                    PredictPhase::Ll => m.ll_steps += 1,
+                }
+            }
+            Event::PredictEnd { phase, outcome, .. } => {
+                if let Some(start) = self.phase_start.take() {
+                    let ns = u64::try_from(start.elapsed().as_nanos()).unwrap_or(u64::MAX);
+                    match phase {
+                        PredictPhase::Sll => m.sll_latency_ns.record(ns),
+                        PredictPhase::Ll => m.ll_latency_ns.record(ns),
+                    }
+                }
+                m.lookahead_depth.record(self.phase_lookahead);
+                self.phase_lookahead = 0;
+                // `adaptivePredict` commits every SLL answer but a
+                // conflict (which fails over) and an abort.
+                if phase == PredictPhase::Sll
+                    && matches!(
+                        outcome,
+                        PredictOutcome::Unique | PredictOutcome::Reject | PredictOutcome::Error
+                    )
+                {
+                    m.sll_resolved += 1;
+                }
+            }
+            Event::Decision { path, .. } => match path {
+                DecisionPath::SingleAlternative => m.single_alternative += 1,
+                DecisionPath::Static => {
+                    m.decisions += 1;
+                    m.static_fast_path_hits += 1;
+                }
+                DecisionPath::Simulated => m.decisions += 1,
+            },
+            Event::Failover { .. } => m.failovers += 1,
+            Event::CertificateCheck { ok, .. } => {
+                m.certificate_validations += 1;
+                if !ok {
+                    m.certificate_failures += 1;
+                }
+            }
+            Event::CacheLookup => m.cache_lookups += 1,
+            Event::CacheHit => m.cache_hits += 1,
+            Event::CacheMiss => m.cache_misses += 1,
+            Event::CacheEvictions { evicted } => m.cache_evictions += evicted,
+            Event::ClosureStep => m.closure_steps += 1,
+            Event::Abort { reason } => m.abort = Some(reason),
+            Event::Recovery { .. } => m.recoveries += 1,
+            Event::ResyncSkip { .. } => m.tokens_skipped += 1,
+            Event::CostCheck {
+                predicted_steps,
+                within_bound,
+            } => {
+                m.predicted_steps = m.predicted_steps.saturating_add(predicted_steps);
+                m.cost_checks += 1;
+                if !within_bound {
+                    m.cost_violations += 1;
+                }
+            }
+            Event::IncrementalRelex {
+                tokens_relexed,
+                tokens_reused,
+                micros,
+            } => {
+                m.tokens_relexed += tokens_relexed;
+                m.tokens_reused += tokens_reused;
+                m.incremental_lex_micros = m.incremental_lex_micros.saturating_add(micros);
+            }
+            Event::Finish { meter_steps } => m.meter_steps = meter_steps,
         }
-        self.m.lookahead_depth.record(self.phase_lookahead);
-        self.phase_lookahead = 0;
-    }
-
-    fn on_decision(&mut self, _x: NonTerminal) {
-        self.m.decisions += 1;
-    }
-
-    fn on_single_alt(&mut self, _x: NonTerminal) {
-        self.m.single_alternative += 1;
-    }
-
-    fn on_sll_resolved(&mut self, _x: NonTerminal) {
-        self.m.sll_resolved += 1;
-    }
-
-    fn on_failover(&mut self, _x: NonTerminal) {
-        self.m.failovers += 1;
-    }
-
-    fn on_static_fast_path(&mut self, _x: NonTerminal) {
-        self.m.static_fast_path_hits += 1;
-    }
-
-    fn on_certificate_check(&mut self, _x: NonTerminal, ok: bool) {
-        self.m.certificate_validations += 1;
-        if !ok {
-            self.m.certificate_failures += 1;
-        }
-    }
-
-    fn on_cost_check(&mut self, predicted_steps: u64, within_bound: bool) {
-        self.m.predicted_steps = self.m.predicted_steps.saturating_add(predicted_steps);
-        self.m.cost_checks += 1;
-        if !within_bound {
-            self.m.cost_violations += 1;
-        }
-    }
-
-    fn on_cache_lookup(&mut self) {
-        self.m.cache_lookups += 1;
-    }
-
-    fn on_cache_hit(&mut self) {
-        self.m.cache_hits += 1;
-    }
-
-    fn on_cache_miss(&mut self) {
-        self.m.cache_misses += 1;
-    }
-
-    fn on_cache_evictions(&mut self, evicted: u64) {
-        self.m.cache_evictions += evicted;
-    }
-
-    fn on_closure_step(&mut self) {
-        self.m.closure_steps += 1;
-    }
-
-    fn on_abort(&mut self, reason: &AbortReason) {
-        self.m.abort = Some(*reason);
-    }
-
-    fn on_recovery(&mut self, _cursor: usize, _reason: &crate::error::RejectReason) {
-        self.m.recoveries += 1;
-    }
-
-    fn on_resync_skip(&mut self, _cursor: usize) {
-        self.m.tokens_skipped += 1;
-    }
-
-    fn on_incremental_relex(&mut self, tokens_relexed: u64, tokens_reused: u64, micros: u64) {
-        self.m.tokens_relexed += tokens_relexed;
-        self.m.tokens_reused += tokens_reused;
-        self.m.incremental_lex_micros = self.m.incremental_lex_micros.saturating_add(micros);
-    }
-
-    fn on_finish(&mut self, meter_steps: u64) {
-        self.m.meter_steps = meter_steps;
     }
 }
 
@@ -526,6 +509,16 @@ impl ParseObserver for MetricsObserver {
 #[allow(clippy::disallowed_methods, clippy::disallowed_macros)]
 mod tests {
     use super::*;
+    use costar_grammar::NonTerminal;
+
+    /// One SLL phase on nonterminal 0 that reads one lookahead token.
+    fn sll_phase(obs: &mut MetricsObserver, outcome: PredictOutcome) {
+        let x = NonTerminal::from_index(0);
+        let phase = PredictPhase::Sll;
+        obs.on_event(Event::PredictStart { x, phase });
+        obs.on_event(Event::Lookahead { phase });
+        obs.on_event(Event::PredictEnd { x, phase, outcome });
+    }
 
     #[test]
     fn histogram_buckets_and_moments() {
@@ -572,19 +565,17 @@ mod tests {
     #[test]
     fn json_contains_every_headline_field() {
         let mut obs = MetricsObserver::new();
-        obs.on_machine_step(0, 1);
-        obs.on_op(MachineOp::Consume, 0, 1);
-        obs.on_predict_start(
-            costar_grammar::NonTerminal::from_index(0),
-            PredictPhase::Sll,
-        );
-        obs.on_lookahead(PredictPhase::Sll);
-        obs.on_predict_end(
-            costar_grammar::NonTerminal::from_index(0),
-            PredictPhase::Sll,
-            PredictOutcome::Unique,
-        );
-        obs.on_finish(2);
+        obs.on_event(Event::MachineStep {
+            cursor: 0,
+            stack_height: 1,
+        });
+        obs.on_event(Event::Op {
+            op: MachineOp::Consume,
+            cursor: 0,
+            stack_height: 1,
+        });
+        sll_phase(&mut obs, PredictOutcome::Unique);
+        obs.on_event(Event::Finish { meter_steps: 2 });
         let m = obs.into_metrics();
         assert!(m.reconciles());
         let json = m.to_json();
@@ -667,17 +658,8 @@ mod tests {
     #[test]
     fn deterministic_view_drops_only_wall_clock_fields() {
         let mut obs = MetricsObserver::new();
-        obs.on_predict_start(
-            costar_grammar::NonTerminal::from_index(0),
-            PredictPhase::Sll,
-        );
-        obs.on_lookahead(PredictPhase::Sll);
-        obs.on_predict_end(
-            costar_grammar::NonTerminal::from_index(0),
-            PredictPhase::Sll,
-            PredictOutcome::Unique,
-        );
-        obs.on_finish(1);
+        sll_phase(&mut obs, PredictOutcome::Unique);
+        obs.on_event(Event::Finish { meter_steps: 1 });
         let mut m = obs.into_metrics();
         m.total_nanos = 1234;
         let d = m.deterministic();
@@ -692,10 +674,10 @@ mod tests {
     #[test]
     fn certificate_checks_are_counted_and_serialized() {
         let mut obs = MetricsObserver::new();
-        let x = costar_grammar::NonTerminal::from_index(0);
-        obs.on_certificate_check(x, true);
-        obs.on_certificate_check(x, true);
-        obs.on_certificate_check(x, false);
+        let x = NonTerminal::from_index(0);
+        for ok in [true, true, false] {
+            obs.on_event(Event::CertificateCheck { x, ok });
+        }
         let m = obs.into_metrics();
         assert_eq!(m.certificate_validations, 3);
         assert_eq!(m.certificate_failures, 1);
@@ -711,8 +693,14 @@ mod tests {
     #[test]
     fn cost_checks_are_counted_and_serialized() {
         let mut obs = MetricsObserver::new();
-        obs.on_cost_check(120, true);
-        obs.on_cost_check(80, false);
+        obs.on_event(Event::CostCheck {
+            predicted_steps: 120,
+            within_bound: true,
+        });
+        obs.on_event(Event::CostCheck {
+            predicted_steps: 80,
+            within_bound: false,
+        });
         let mut m = obs.into_metrics();
         assert_eq!(m.predicted_steps, 200);
         assert_eq!(m.cost_checks, 2);
@@ -735,8 +723,16 @@ mod tests {
     #[test]
     fn incremental_relex_counters_and_reuse_fraction() {
         let mut obs = MetricsObserver::new();
-        obs.on_incremental_relex(2, 98, 40);
-        obs.on_incremental_relex(3, 97, 2);
+        obs.on_event(Event::IncrementalRelex {
+            tokens_relexed: 2,
+            tokens_reused: 98,
+            micros: 40,
+        });
+        obs.on_event(Event::IncrementalRelex {
+            tokens_relexed: 3,
+            tokens_reused: 97,
+            micros: 2,
+        });
         let m = obs.into_metrics();
         assert_eq!(m.tokens_relexed, 5);
         assert_eq!(m.tokens_reused, 195);
@@ -762,9 +758,48 @@ mod tests {
     }
 
     #[test]
+    fn decision_counters_follow_paths_and_sll_phase_ends() {
+        let mut obs = MetricsObserver::new();
+        let x = NonTerminal::from_index(0);
+        for path in [
+            DecisionPath::SingleAlternative,
+            DecisionPath::Static,
+            DecisionPath::Simulated,
+            DecisionPath::Simulated,
+        ] {
+            obs.on_event(Event::Decision { x, path });
+        }
+        // The first simulated decision commits from SLL; the second
+        // conflicts and fails over, and its LL phase is not an SLL
+        // resolution.
+        sll_phase(&mut obs, PredictOutcome::Unique);
+        sll_phase(&mut obs, PredictOutcome::Ambig);
+        obs.on_event(Event::Failover { x });
+        let phase = PredictPhase::Ll;
+        obs.on_event(Event::PredictStart { x, phase });
+        obs.on_event(Event::PredictEnd {
+            x,
+            phase,
+            outcome: PredictOutcome::Unique,
+        });
+        let m = obs.into_metrics();
+        assert_eq!(m.single_alternative, 1);
+        assert_eq!(m.decisions, 3);
+        assert_eq!(m.static_fast_path_hits, 1);
+        assert_eq!(m.sll_resolved, 1);
+        assert_eq!(m.failovers, 1);
+        assert_eq!(
+            m.decisions,
+            m.static_fast_path_hits + m.sll_resolved + m.failovers
+        );
+    }
+
+    #[test]
     fn abort_serialized_as_string() {
         let mut obs = MetricsObserver::new();
-        obs.on_abort(&AbortReason::StepLimit { limit: 7 });
+        obs.on_event(Event::Abort {
+            reason: AbortReason::StepLimit { limit: 7 },
+        });
         let m = obs.into_metrics();
         assert!(m
             .to_json()

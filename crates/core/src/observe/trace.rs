@@ -1,69 +1,20 @@
 //! The trace observer: a bounded ring buffer of structured parse events
 //! for post-mortem inspection.
 
-use super::{MachineOp, ParseObserver, PredictOutcome, PredictPhase};
-use crate::budget::AbortReason;
+use super::{Event, MachineOp, ParseObserver};
 use costar_grammar::{NonTerminal, SymbolTable};
 use std::collections::VecDeque;
 use std::fmt::Write as _;
 
-/// What happened, structurally. Counter-style events (cache hits/misses,
-/// lookahead tokens, closure steps) are deliberately excluded — they
-/// belong to [`MetricsObserver`](super::MetricsObserver); the trace keeps
-/// the *shape* of the parse.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub enum TraceEventKind {
-    /// A machine operation completed.
-    Op {
-        /// Which operation.
-        op: MachineOp,
-        /// Input cursor before the operation.
-        cursor: usize,
-        /// Suffix-stack height before the operation.
-        stack_height: usize,
-    },
-    /// A prediction phase began for this decision nonterminal.
-    PredictStart {
-        /// The decision nonterminal.
-        nt: NonTerminal,
-        /// SLL or LL.
-        phase: PredictPhase,
-    },
-    /// A prediction phase ended.
-    PredictEnd {
-        /// The decision nonterminal.
-        nt: NonTerminal,
-        /// SLL or LL.
-        phase: PredictPhase,
-        /// How it resolved.
-        outcome: PredictOutcome,
-    },
-    /// An SLL conflict failed over to LL.
-    Failover {
-        /// The decision nonterminal.
-        nt: NonTerminal,
-    },
-    /// Capacity pressure evicted this many cached DFA states.
-    CacheEvictions {
-        /// Number of states evicted.
-        evicted: u64,
-    },
-    /// The budget ran out.
-    Abort {
-        /// Why.
-        reason: AbortReason,
-    },
-}
-
 /// One recorded event: a monotonically increasing sequence number (over
-/// *all* events seen, including those the ring has since dropped) plus
-/// the event itself.
+/// *all* structural events seen, including those the ring has since
+/// dropped) plus the event itself.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct TraceEvent {
-    /// 0-based position of this event in the full event stream.
+    /// 0-based position of this event in the structural event stream.
     pub seq: u64,
     /// The event.
-    pub kind: TraceEventKind,
+    pub event: Event,
 }
 
 impl TraceEvent {
@@ -75,8 +26,8 @@ impl TraceEvent {
             None => format!("N{}", nt.index()),
         };
         let mut s = format!("[{:>6}] ", self.seq);
-        match &self.kind {
-            TraceEventKind::Op {
+        let _ = match self.event {
+            Event::Op {
                 op,
                 cursor,
                 stack_height,
@@ -86,38 +37,31 @@ impl TraceEvent {
                     MachineOp::Consume => "consume",
                     MachineOp::Return => "return",
                 };
-                let _ = write!(s, "{name} @tok {cursor} depth {stack_height}");
+                write!(s, "{name} @tok {cursor} depth {stack_height}")
             }
-            TraceEventKind::PredictStart { nt, phase } => {
-                let _ = write!(s, "predict {:?} start {}", phase, nt_name(*nt));
+            Event::PredictStart { x, phase } => {
+                write!(s, "predict {:?} start {}", phase, nt_name(x))
             }
-            TraceEventKind::PredictEnd { nt, phase, outcome } => {
-                let _ = write!(
-                    s,
-                    "predict {:?} end {} -> {:?}",
-                    phase,
-                    nt_name(*nt),
-                    outcome
-                );
+            Event::PredictEnd { x, phase, outcome } => {
+                write!(s, "predict {:?} end {} -> {:?}", phase, nt_name(x), outcome)
             }
-            TraceEventKind::Failover { nt } => {
-                let _ = write!(s, "failover to LL on {}", nt_name(*nt));
-            }
-            TraceEventKind::CacheEvictions { evicted } => {
-                let _ = write!(s, "cache evicted {evicted} state(s)");
-            }
-            TraceEventKind::Abort { reason } => {
-                let _ = write!(s, "ABORT: {reason}");
-            }
-        }
+            Event::Failover { x } => write!(s, "failover to LL on {}", nt_name(x)),
+            Event::CacheEvictions { evicted } => write!(s, "cache evicted {evicted} state(s)"),
+            Event::Abort { reason } => write!(s, "ABORT: {reason}"),
+            other => write!(s, "{other:?}"),
+        };
         s
     }
 }
 
-/// A [`ParseObserver`] that keeps the last `capacity` structured events
-/// in a ring buffer. With capacity 0 it records nothing (but still counts
-/// sequence numbers), so an always-installed trace costs almost nothing
-/// until a buffer is requested.
+/// A [`ParseObserver`] that keeps the last `capacity` structural events
+/// in a ring buffer: machine operations, prediction phase starts and
+/// ends, failovers, cache evictions and aborts. Counter-style events
+/// (cache hits/misses, lookahead tokens, closure steps, decisions)
+/// belong to [`MetricsObserver`](super::MetricsObserver); the trace
+/// keeps the *shape* of the parse. With capacity 0 it records nothing
+/// (but still counts sequence numbers), so an always-installed trace
+/// costs almost nothing until a buffer is requested.
 ///
 /// Intended use: run with a modest capacity, and on abort/reject dump the
 /// buffer ([`TraceObserver::dump`]) to see the machine's final moments.
@@ -138,7 +82,7 @@ impl TraceObserver {
         }
     }
 
-    fn push(&mut self, kind: TraceEventKind) {
+    fn push(&mut self, event: Event) {
         let seq = self.next_seq;
         self.next_seq += 1;
         if self.capacity == 0 {
@@ -147,7 +91,7 @@ impl TraceObserver {
         if self.ring.len() == self.capacity {
             self.ring.pop_front();
         }
-        self.ring.push_back(TraceEvent { seq, kind });
+        self.ring.push_back(TraceEvent { seq, event });
     }
 
     /// The retained events, oldest first.
@@ -182,36 +126,18 @@ impl TraceObserver {
 }
 
 impl ParseObserver for TraceObserver {
-    fn on_op(&mut self, op: MachineOp, cursor: usize, stack_height: usize) {
-        self.push(TraceEventKind::Op {
-            op,
-            cursor,
-            stack_height,
-        });
-    }
-
-    fn on_predict_start(&mut self, x: NonTerminal, phase: PredictPhase) {
-        self.push(TraceEventKind::PredictStart { nt: x, phase });
-    }
-
-    fn on_predict_end(&mut self, x: NonTerminal, phase: PredictPhase, outcome: PredictOutcome) {
-        self.push(TraceEventKind::PredictEnd {
-            nt: x,
-            phase,
-            outcome,
-        });
-    }
-
-    fn on_failover(&mut self, x: NonTerminal) {
-        self.push(TraceEventKind::Failover { nt: x });
-    }
-
-    fn on_cache_evictions(&mut self, evicted: u64) {
-        self.push(TraceEventKind::CacheEvictions { evicted });
-    }
-
-    fn on_abort(&mut self, reason: &AbortReason) {
-        self.push(TraceEventKind::Abort { reason: *reason });
+    fn on_event(&mut self, e: Event) {
+        if matches!(
+            e,
+            Event::Op { .. }
+                | Event::PredictStart { .. }
+                | Event::PredictEnd { .. }
+                | Event::Failover { .. }
+                | Event::CacheEvictions { .. }
+                | Event::Abort { .. }
+        ) {
+            self.push(e);
+        }
     }
 }
 
@@ -219,9 +145,11 @@ impl ParseObserver for TraceObserver {
 #[allow(clippy::disallowed_methods, clippy::disallowed_macros)]
 mod tests {
     use super::*;
+    use crate::{AbortReason, Budget, ParseOutcome, Parser};
+    use costar_grammar::{tokens, GrammarBuilder};
 
-    fn op(cursor: usize) -> TraceEventKind {
-        TraceEventKind::Op {
+    fn op(cursor: usize) -> Event {
+        Event::Op {
             op: MachineOp::Consume,
             cursor,
             stack_height: 1,
@@ -253,13 +181,67 @@ mod tests {
     #[test]
     fn dump_renders_one_line_per_event() {
         let mut tr = TraceObserver::new(8);
-        tr.on_op(MachineOp::Push, 2, 3);
-        tr.on_failover(NonTerminal::from_index(0));
-        tr.on_abort(&AbortReason::StepLimit { limit: 9 });
+        tr.on_event(Event::Op {
+            op: MachineOp::Push,
+            cursor: 2,
+            stack_height: 3,
+        });
+        tr.on_event(Event::Failover {
+            x: NonTerminal::from_index(0),
+        });
+        tr.on_event(Event::CacheHit); // counter-style: not traced
+        tr.on_event(Event::Abort {
+            reason: AbortReason::StepLimit { limit: 9 },
+        });
         let dump = tr.dump(None);
         assert_eq!(dump.lines().count(), 3);
+        assert_eq!(tr.total_events(), 3);
         assert!(dump.contains("push @tok 2 depth 3"));
         assert!(dump.contains("failover to LL on N0"));
         assert!(dump.contains("ABORT: step budget exhausted (limit 9)"));
+    }
+
+    #[test]
+    fn failover_then_abort_dump_is_pinned() {
+        // The SLL-conflict grammar of the prediction tests: X's SLL phase
+        // conflicts (under a one-state cache cap that evicts as it goes),
+        // fails over to LL, and the step budget runs out inside LL.
+        let mut gb = GrammarBuilder::new();
+        gb.rule("S", &["p", "C1"]);
+        gb.rule("S", &["q", "C2"]);
+        gb.rule("C1", &["X", "b"]);
+        gb.rule("C2", &["X", "a", "b"]);
+        gb.rule("X", &["a", "a"]);
+        gb.rule("X", &["a"]);
+        let mut p = Parser::new(gb.start("S").build().unwrap());
+        p.set_budget(
+            Budget::unlimited()
+                .with_max_steps(10)
+                .with_max_cache_entries(1),
+        );
+        let mut tab = p.grammar().symbols().clone();
+        let w = tokens(&mut tab, &[("q", "q"), ("a", "a"), ("a", "a"), ("b", "b")]);
+        let mut tr = TraceObserver::new(64);
+        let r = p.run(&w, false, &mut tr);
+        assert_eq!(
+            r.outcome,
+            ParseOutcome::Aborted(AbortReason::StepLimit { limit: 10 })
+        );
+        assert_eq!(
+            tr.dump(Some(p.grammar().symbols())),
+            "\
+[     0] push @tok 0 depth 2
+[     1] consume @tok 0 depth 2
+[     2] push @tok 1 depth 3
+[     3] predict Sll start X
+[     4] cache evicted 1 state(s)
+[     5] cache evicted 1 state(s)
+[     6] predict Sll end X -> Ambig
+[     7] failover to LL on X
+[     8] predict Ll start X
+[     9] ABORT: step budget exhausted (limit 10)
+[    10] predict Ll end X -> Abort
+"
+        );
     }
 }

@@ -32,7 +32,7 @@ use crate::budget::Budget;
 use crate::error::ParseError;
 use crate::machine::{Machine, ParseOutcome, PredictionMode};
 use crate::observe::{MetricsObserver, NullObserver, ParseMetrics, ParseObserver};
-use crate::prediction::cache::{CacheStats, PredictionStats, SllCache};
+use crate::prediction::cache::{CacheStats, SllCache};
 use crate::recover::RecoveredParse;
 use costar_grammar::analysis::GrammarAnalysis;
 use costar_grammar::{Grammar, NonTerminal, Token};
@@ -234,11 +234,11 @@ impl Parser {
     /// `word` with `obs` receiving every parse event — and, when
     /// `recover` is set, resynchronizes past syntax errors as
     /// [`Parser::parse_recovering`] describes (firing the
-    /// [`ParseObserver::on_recovery`] and
-    /// [`ParseObserver::on_resync_skip`] hooks as well). Without
+    /// [`Event::Recovery`](crate::Event::Recovery) and
+    /// [`Event::ResyncSkip`](crate::Event::ResyncSkip) events as well). Without
     /// `recover`, the result carries the plain outcome and no diagnostics.
     ///
-    /// The observer is monomorphized in: with [`NullObserver`] every hook
+    /// The observer is monomorphized in: with [`NullObserver`] every event
     /// compiles away. A panic anywhere below (which for a well-formed
     /// grammar indicates a parser bug, never a property of the input) is
     /// caught, the possibly-inconsistent prediction cache is discarded,
@@ -301,14 +301,6 @@ impl Parser {
     /// [`CachePolicy::Persistent`]).
     pub fn cache_stats(&self) -> CacheStats {
         self.cache.stats()
-    }
-
-    /// Prediction-behavior counters for the most recent parse (or, with
-    /// [`CachePolicy::Persistent`], accumulated across parses): how many
-    /// decisions SLL resolved, how often LL failover ran, and how much
-    /// lookahead decisions needed.
-    pub fn prediction_stats(&self) -> PredictionStats {
-        self.cache.prediction_stats()
     }
 
     /// Nonterminal lookup convenience.
@@ -609,16 +601,12 @@ mod metrics_tests {
         assert_eq!(m.tokens, 3);
         assert!(m.total_nanos > 0);
         assert_eq!(m.abort, None);
-        // The observer's cache and decision counts mirror the cache's own
-        // counters exactly (per-input policy: both cover this parse only).
+        // The observer's cache counts mirror the cache's own counters
+        // exactly (per-input policy: both cover this parse only).
         let cs = p.cache_stats();
         assert_eq!(m.cache_hits, cs.hits);
         assert_eq!(m.cache_misses, cs.misses);
         assert_eq!(m.cache_evictions, cs.evictions);
-        let ps = p.prediction_stats();
-        assert_eq!(m.decisions, ps.predictions);
-        assert_eq!(m.sll_resolved, ps.sll_resolved);
-        assert_eq!(m.single_alternative, ps.single_alternative);
     }
 
     #[test]
@@ -650,12 +638,12 @@ mod metrics_tests {
 
 #[cfg(test)]
 #[allow(clippy::disallowed_methods, clippy::disallowed_macros)]
-mod prediction_stats_tests {
+mod decision_metrics_tests {
     use super::*;
     use costar_grammar::{tokens, GrammarBuilder};
 
     #[test]
-    fn fig2_stats_counted() {
+    fn fig2_decisions_counted() {
         let mut gb = GrammarBuilder::new();
         gb.rule("S", &["A", "c"]);
         gb.rule("S", &["A", "d"]);
@@ -664,19 +652,19 @@ mod prediction_stats_tests {
         let mut p = Parser::new(gb.start("S").build().unwrap());
         let mut tab = p.grammar().symbols().clone();
         let w = tokens(&mut tab, &[("a", "a"), ("b", "b"), ("d", "d")]);
-        assert!(p.parse(&w).is_accept());
-        let stats = p.prediction_stats();
+        let (outcome, m) = p.parse_with_metrics(&w);
+        assert!(outcome.is_accept());
         // Three pushes: S, A, A — all multi-alternative. The two A
         // decisions are LL(1) and resolve via the static fast path; S is
         // SLL-safe but not LL(1), so it alone runs SLL simulation.
-        assert_eq!(stats.predictions, 3);
-        assert_eq!(stats.sll_resolved, 1);
-        assert_eq!(stats.static_fast_path, 2);
-        assert_eq!(stats.failovers, 0);
-        assert_eq!(stats.single_alternative, 0);
+        assert_eq!(m.decisions, 3);
+        assert_eq!(m.sll_resolved, 1);
+        assert_eq!(m.static_fast_path_hits, 2);
+        assert_eq!(m.failovers, 0);
+        assert_eq!(m.single_alternative, 0);
         // Deciding S scans to the very end of "abd".
-        assert_eq!(stats.max_lookahead, 3);
-        assert!(stats.mean_lookahead() >= 1.0);
+        assert_eq!(m.lookahead_depth.max(), 3);
+        assert!(m.lookahead_depth.mean() >= 1.0);
     }
 
     #[test]
@@ -692,15 +680,15 @@ mod prediction_stats_tests {
         let mut p = Parser::new(gb.start("S").build().unwrap());
         let mut tab = p.grammar().symbols().clone();
         let w = tokens(&mut tab, &[("q", "q"), ("a", "a"), ("a", "a"), ("b", "b")]);
-        assert!(p.parse(&w).is_accept());
-        let stats = p.prediction_stats();
-        assert_eq!(stats.failovers, 1, "the X decision must fail over to LL");
-        assert_eq!(stats.single_alternative, 1, "C2's push short-circuits");
-        assert!(stats.predictions >= 2);
+        let (outcome, m) = p.parse_with_metrics(&w);
+        assert!(outcome.is_accept());
+        assert_eq!(m.failovers, 1, "the X decision must fail over to LL");
+        assert_eq!(m.single_alternative, 1, "C2's push short-circuits");
+        assert!(m.decisions >= 2);
         // S is LL(1) on its leading terminal (p vs q), so it dispatches
         // statically; only X runs simulation (and fails over).
-        assert_eq!(stats.static_fast_path, 1);
-        assert_eq!(stats.sll_resolved, 0);
+        assert_eq!(m.static_fast_path_hits, 1);
+        assert_eq!(m.sll_resolved, 0);
     }
 
     #[test]
@@ -715,16 +703,15 @@ mod prediction_stats_tests {
         let w = tokens(&mut tab, &[("a", "a"), ("b", "b"), ("d", "d")]);
 
         let mut fast = Parser::new(g.clone());
-        let fast_outcome = fast.parse(&w);
+        let (fast_outcome, fast_m) = fast.parse_with_metrics(&w);
         let mut full = Parser::new(g);
         full.set_prediction_mode(PredictionMode::AdaptiveNoStatic);
-        let full_outcome = full.parse(&w);
+        let (full_outcome, full_m) = full.parse_with_metrics(&w);
 
         assert_eq!(fast_outcome.tree(), full_outcome.tree());
-        assert_eq!(fast.prediction_stats().static_fast_path, 2);
-        let full_stats = full.prediction_stats();
-        assert_eq!(full_stats.static_fast_path, 0);
-        assert_eq!(full_stats.sll_resolved, 3, "all decisions simulate");
+        assert_eq!(fast_m.static_fast_path_hits, 2);
+        assert_eq!(full_m.static_fast_path_hits, 0);
+        assert_eq!(full_m.sll_resolved, 3, "all decisions simulate");
     }
 
     #[test]
@@ -735,10 +722,10 @@ mod prediction_stats_tests {
         let mut p = Parser::new(gb.start("S").build().unwrap());
         let mut tab = p.grammar().symbols().clone();
         let w = tokens(&mut tab, &[("a", "a"), ("a", "a")]);
-        assert!(p.parse(&w).is_accept());
-        let stats = p.prediction_stats();
-        assert_eq!(stats.predictions, 0);
-        assert_eq!(stats.single_alternative, 3); // S, A, A
-        assert_eq!(stats.mean_lookahead(), 0.0);
+        let (outcome, m) = p.parse_with_metrics(&w);
+        assert!(outcome.is_accept());
+        assert_eq!(m.decisions, 0);
+        assert_eq!(m.single_alternative, 3); // S, A, A
+        assert_eq!(m.lookahead_depth.mean(), 0.0);
     }
 }

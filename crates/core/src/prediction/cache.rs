@@ -82,43 +82,6 @@ pub(crate) struct StateData {
     poisoned: bool,
 }
 
-/// Counters describing prediction behavior over the parses the cache has
-/// served: how decisions resolved and how much lookahead they needed.
-/// The original ALL(*) evaluation reports exactly these quantities (SLL
-/// suffices almost always; lookahead is usually 1–2 tokens), and the
-/// CoStar paper's §3.4 failover design is motivated by them.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub struct PredictionStats {
-    /// Total `adaptivePredict` invocations (excluding single-alternative
-    /// short-circuits).
-    pub predictions: u64,
-    /// Decisions short-circuited because the nonterminal has one
-    /// alternative.
-    pub single_alternative: u64,
-    /// Decisions resolved by SLL (committed without failover).
-    pub sll_resolved: u64,
-    /// SLL conflicts that failed over to full LL prediction (§3.4).
-    pub failovers: u64,
-    /// Decisions dispatched through the static LL(1) lookahead map,
-    /// skipping simulation and cache traffic entirely.
-    pub static_fast_path: u64,
-    /// Total lookahead tokens examined across decisions.
-    pub lookahead_tokens: u64,
-    /// The deepest lookahead any single decision needed.
-    pub max_lookahead: usize,
-}
-
-impl PredictionStats {
-    /// Mean lookahead per (non-short-circuited) decision.
-    pub fn mean_lookahead(&self) -> f64 {
-        if self.predictions == 0 {
-            0.0
-        } else {
-            self.lookahead_tokens as f64 / self.predictions as f64
-        }
-    }
-}
-
 /// Counters describing cache effectiveness; used by the Fig. 11 style
 /// cache-warm-up experiments, the `ablation_sll_cache` bench, and the
 /// bounded-cache degradation tests.
@@ -174,7 +137,6 @@ pub struct SllCache {
     misses: u64,
     evictions: u64,
     poison_drops: u64,
-    prediction_stats: PredictionStats,
     #[cfg(feature = "faults")]
     fault_plan: Option<FaultPlan>,
     #[cfg(feature = "faults")]
@@ -254,17 +216,6 @@ impl SllCache {
         self.misses = 0;
         self.evictions = 0;
         self.poison_drops = 0;
-        self.prediction_stats = PredictionStats::default();
-    }
-
-    /// Prediction-behavior counters accumulated since the last
-    /// [`SllCache::clear`] (or construction).
-    pub fn prediction_stats(&self) -> PredictionStats {
-        self.prediction_stats
-    }
-
-    pub(crate) fn stats_mut(&mut self) -> &mut PredictionStats {
-        &mut self.prediction_stats
     }
 
     /// Effectiveness counters.

@@ -30,7 +30,7 @@ pub(crate) mod sim;
 
 use crate::budget::{AbortReason, Meter};
 use crate::error::ParseError;
-use crate::observe::{ParseObserver, PredictOutcome, PredictPhase};
+use crate::observe::{DecisionPath, Event, ParseObserver, PredictOutcome, PredictPhase};
 use crate::prediction::cache::{EofResolution, Resolution, SllCache, StateId};
 use crate::prediction::sim::{
     closure, distinct_alts, move_configs, Config, SimFrame, SimMode, SimStack, SpState,
@@ -117,9 +117,14 @@ pub(crate) fn ll_predict<O: ParseObserver>(
     meter: &mut Meter,
     obs: &mut O,
 ) -> Prediction {
-    obs.on_predict_start(x, PredictPhase::Ll);
+    let phase = PredictPhase::Ll;
+    obs.on_event(Event::PredictStart { x, phase });
     let p = ll_predict_inner(g, analysis, x, suffix, remaining, meter, obs);
-    obs.on_predict_end(x, PredictPhase::Ll, p.outcome());
+    obs.on_event(Event::PredictEnd {
+        x,
+        phase,
+        outcome: p.outcome(),
+    });
     p
 }
 
@@ -153,11 +158,13 @@ fn ll_predict_inner<O: ParseObserver>(
             [only] => return Prediction::Unique(*only),
             _ => {}
         }
-        if let Err(r) = meter.charge(1) {
-            obs.on_abort(&r);
-            return Prediction::Abort(r);
+        if let Err(reason) = meter.charge(1) {
+            obs.on_event(Event::Abort { reason });
+            return Prediction::Abort(reason);
         }
-        obs.on_lookahead(PredictPhase::Ll);
+        obs.on_event(Event::Lookahead {
+            phase: PredictPhase::Ll,
+        });
         let Some(t) = input.next() else {
             // End of input with several alternatives still alive: the
             // survivors that accept EOF each derive the whole remaining
@@ -208,9 +215,14 @@ pub(crate) fn sll_predict<O: ParseObserver>(
     meter: &mut Meter,
     obs: &mut O,
 ) -> Prediction {
-    obs.on_predict_start(x, PredictPhase::Sll);
+    let phase = PredictPhase::Sll;
+    obs.on_event(Event::PredictStart { x, phase });
     let p = sll_predict_inner(g, analysis, x, remaining, cache, meter, obs);
-    obs.on_predict_end(x, PredictPhase::Sll, p.outcome());
+    obs.on_event(Event::PredictEnd {
+        x,
+        phase,
+        outcome: p.outcome(),
+    });
     p
 }
 
@@ -226,7 +238,7 @@ fn intern_observed<O: ParseObserver>(
     let id = cache.intern_protected(configs, protect);
     let evicted = cache.evictions_total() - before;
     if evicted > 0 {
-        obs.on_cache_evictions(evicted);
+        obs.on_event(Event::CacheEvictions { evicted });
     }
     id
 }
@@ -266,25 +278,23 @@ fn sll_predict_inner<O: ParseObserver>(
     loop {
         match cache.state(sid).resolution {
             Resolution::Unique(alt) => {
-                record_lookahead(cache, lookahead);
                 check_certificate(analysis, x, lookahead, obs);
                 return Prediction::Unique(alt);
             }
             Resolution::Reject => {
-                record_lookahead(cache, lookahead);
                 check_certificate(analysis, x, lookahead, obs);
                 return Prediction::Reject;
             }
             Resolution::Pending => {}
         }
-        if let Err(r) = meter.charge(1) {
-            record_lookahead(cache, lookahead);
-            obs.on_abort(&r);
-            return Prediction::Abort(r);
+        if let Err(reason) = meter.charge(1) {
+            obs.on_event(Event::Abort { reason });
+            return Prediction::Abort(reason);
         }
-        obs.on_lookahead(PredictPhase::Sll);
+        obs.on_event(Event::Lookahead {
+            phase: PredictPhase::Sll,
+        });
         let Some(t) = input.next() else {
-            record_lookahead(cache, lookahead);
             return match cache.eof_resolution(sid) {
                 EofResolution::Unique(alt) => {
                     check_certificate(analysis, x, lookahead, obs);
@@ -299,14 +309,14 @@ fn sll_predict_inner<O: ParseObserver>(
         };
         lookahead += 1;
         let term = t.terminal();
-        obs.on_cache_lookup();
+        obs.on_event(Event::CacheLookup);
         sid = match cache.transition(sid, term) {
             Some(next) => {
-                obs.on_cache_hit();
+                obs.on_event(Event::CacheHit);
                 next
             }
             None => {
-                obs.on_cache_miss();
+                obs.on_event(Event::CacheMiss);
                 let moved = match move_configs(&cache.state(sid).configs, term) {
                     Ok(m) => m,
                     Err(e) => return Prediction::Error(e),
@@ -343,14 +353,6 @@ pub(crate) fn ll_only_predict<O: ParseObserver>(
     ll_predict(g, analysis, x, suffix, remaining, meter, obs)
 }
 
-/// Folds one decision's lookahead depth into the cache's running
-/// prediction statistics.
-fn record_lookahead(cache: &mut SllCache, lookahead: usize) {
-    let stats = cache.stats_mut();
-    stats.lookahead_tokens += lookahead as u64;
-    stats.max_lookahead = stats.max_lookahead.max(lookahead);
-}
-
 /// Validates a committed SLL resolution against the audit certificate's
 /// finite lookahead bound, if decision `x` carries one. Static replay
 /// (`costar_grammar::analysis::replay_certificate`) refutes *inflated*
@@ -367,7 +369,10 @@ fn check_certificate<O: ParseObserver>(
     obs: &mut O,
 ) {
     if let Some(k) = analysis.audit.k_bound(x) {
-        obs.on_certificate_check(x, lookahead <= k);
+        obs.on_event(Event::CertificateCheck {
+            x,
+            ok: lookahead <= k,
+        });
     }
 }
 
@@ -402,43 +407,49 @@ pub(crate) fn adaptive_predict<O: ParseObserver>(
     match g.alternatives(x) {
         [] => return Prediction::Reject,
         [only] => {
-            cache.stats_mut().single_alternative += 1;
-            obs.on_single_alt(x);
+            obs.on_event(Event::Decision {
+                x,
+                path: DecisionPath::SingleAlternative,
+            });
             return Prediction::Unique(*only);
         }
         _ => {}
     }
-    cache.stats_mut().predictions += 1;
-    obs.on_decision(x);
-    if use_static {
-        if let Some(map) = analysis.decisions.ll1_map(x) {
-            cache.stats_mut().static_fast_path += 1;
-            obs.on_static_fast_path(x);
-            let chosen = match remaining.first() {
-                Some(t) => map.for_terminal(t.terminal()),
-                None => map.for_eof(),
-            };
-            return match chosen {
-                Some(alt) => Prediction::Unique(alt),
-                // No alternative's select set contains the lookahead: full
-                // prediction's first move (or EOF resolution) would kill
-                // every subparser and reject too.
-                None => Prediction::Reject,
-            };
-        }
+    let ll1 = if use_static {
+        analysis.decisions.ll1_map(x)
+    } else {
+        None
+    };
+    if let Some(map) = ll1 {
+        obs.on_event(Event::Decision {
+            x,
+            path: DecisionPath::Static,
+        });
+        let chosen = match remaining.first() {
+            Some(t) => map.for_terminal(t.terminal()),
+            None => map.for_eof(),
+        };
+        return match chosen {
+            Some(alt) => Prediction::Unique(alt),
+            // No alternative's select set contains the lookahead: full
+            // prediction's first move (or EOF resolution) would kill
+            // every subparser and reject too.
+            None => Prediction::Reject,
+        };
     }
+    obs.on_event(Event::Decision {
+        x,
+        path: DecisionPath::Simulated,
+    });
+    // Every SLL answer but a conflict is final: `Unique`, `Reject` and
+    // `Error` are SLL's commitments (observers count them from the SLL
+    // phase's end event), and an abort propagates.
     match sll_predict(g, analysis, x, remaining, cache, meter, obs) {
         Prediction::Ambig(_) => {
-            cache.stats_mut().failovers += 1;
-            obs.on_failover(x);
+            obs.on_event(Event::Failover { x });
             ll_predict(g, analysis, x, suffix, remaining, meter, obs)
         }
-        Prediction::Abort(r) => Prediction::Abort(r),
-        committed => {
-            cache.stats_mut().sll_resolved += 1;
-            obs.on_sll_resolved(x);
-            committed
-        }
+        committed => committed,
     }
 }
 
@@ -775,10 +786,12 @@ mod tests {
         failures: u64,
     }
     impl ParseObserver for CertCounter {
-        fn on_certificate_check(&mut self, _x: NonTerminal, ok: bool) {
-            self.checks += 1;
-            if !ok {
-                self.failures += 1;
+        fn on_event(&mut self, e: Event) {
+            if let Event::CertificateCheck { ok, .. } = e {
+                self.checks += 1;
+                if !ok {
+                    self.failures += 1;
+                }
             }
         }
     }

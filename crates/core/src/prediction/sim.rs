@@ -14,7 +14,7 @@
 //! gets this tail sharing instead, and we reproduce exactly that.
 
 use crate::error::ParseError;
-use crate::observe::ParseObserver;
+use crate::observe::{Event, ParseObserver};
 use costar_grammar::analysis::GrammarAnalysis;
 use costar_grammar::{Grammar, NonTerminal, NtSet, ProdId, Symbol, Terminal};
 use std::cmp::Ordering;
@@ -287,7 +287,7 @@ pub(crate) fn closure<O: ParseObserver>(
     }
 
     while let Some((alt, stack, mut visited)) = work.pop() {
-        obs.on_closure_step();
+        obs.on_event(Event::ClosureStep);
         // Process each distinct (alternative, stack) configuration once:
         // converging derivation paths would otherwise re-explore shared
         // continuations exponentially often.

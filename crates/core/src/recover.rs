@@ -49,7 +49,7 @@
 use crate::budget::AbortReason;
 use crate::error::RejectReason;
 use crate::machine::{Machine, ParseOutcome};
-use crate::observe::ParseObserver;
+use crate::observe::{Event, ParseObserver};
 use crate::state::SuffixFrame;
 use costar_grammar::analysis::GrammarAnalysis;
 use costar_grammar::{ErrorNode, NonTerminal, Span, Symbol, Terminal, Token, Tree};
@@ -111,6 +111,21 @@ pub struct RecoveredParse {
     pub outcome: ParseOutcome,
 }
 
+/// The process exit code of one parse, shared by every `costar` command
+/// that reports a parse: 0 accepted (ambiguity included), 1 rejected or
+/// internal error, 3 budget abort, 4 parsed with recovered errors. A
+/// rejection carrying `diagnostics` is one a recovering parse got past:
+/// a recovering parse reports `Reject` only after at least one recovery,
+/// and a plain parse records no diagnostics.
+pub fn exit_code(outcome: &ParseOutcome, diagnostics: &[Diagnostic]) -> u8 {
+    match outcome {
+        ParseOutcome::Unique(_) | ParseOutcome::Ambig(_) => 0,
+        ParseOutcome::Reject(_) if !diagnostics.is_empty() => 4,
+        ParseOutcome::Reject(_) | ParseOutcome::Error(_) => 1,
+        ParseOutcome::Aborted(_) => 3,
+    }
+}
+
 impl RecoveredParse {
     /// `true` when the input parsed cleanly — no diagnostics, accepted.
     pub fn is_clean(&self) -> bool {
@@ -148,7 +163,7 @@ struct Plan {
 
 /// One recovery inside the machine's step loop
 /// ([`Machine::run`]'s `multistep`): enforces the budget's recovery cap,
-/// fires [`ParseObserver::on_recovery`], applies the stall guard — a
+/// fires [`Event::Recovery`], applies the stall guard — a
 /// second recovery at the same input position must skip at least one
 /// token — and records the diagnostic. Cold: valid input never gets here.
 #[cold]
@@ -160,11 +175,11 @@ pub(crate) fn recover<O: ParseObserver>(
     last_cursor: &mut Option<usize>,
 ) -> Result<(), AbortReason> {
     if let Err(abort) = machine.check_recoveries(diagnostics.len()) {
-        obs.on_abort(&abort);
+        obs.on_event(Event::Abort { reason: abort });
         return Err(abort);
     }
     let cursor = machine.state().cursor;
-    obs.on_recovery(cursor, &reason);
+    obs.on_event(Event::Recovery { cursor });
     let force_skip = *last_cursor == Some(cursor);
     *last_cursor = Some(cursor);
     diagnostics.push(recover_once(machine, obs, reason, force_skip));
@@ -387,7 +402,7 @@ fn execute_plan<O: ParseObserver>(
 }
 
 /// Skips tokens up to (not including) input position `end`, firing
-/// [`ParseObserver::on_resync_skip`] per token.
+/// [`Event::ResyncSkip`] per token.
 fn skip_tokens<O: ParseObserver>(
     machine: &mut Machine<'_>,
     tokens: &[Token],
@@ -399,7 +414,7 @@ fn skip_tokens<O: ParseObserver>(
     let before = st.cursor;
     while st.cursor < end {
         if let Some(t) = tokens.get(st.cursor) {
-            obs.on_resync_skip(st.cursor);
+            obs.on_event(Event::ResyncSkip { cursor: st.cursor });
             out.push(t.clone());
         }
         st.cursor += 1;

@@ -26,7 +26,7 @@
 
 #![warn(clippy::disallowed_methods, clippy::disallowed_macros)]
 use crate::machine::ParseOutcome;
-use crate::observe::{NullObserver, ParseMetrics, ParseObserver};
+use crate::observe::{Event, NullObserver, ParseMetrics, ParseObserver};
 use crate::parser::{measured, Parser};
 use crate::recover::RecoveredParse;
 use costar_grammar::Token;
@@ -139,7 +139,7 @@ impl Parser {
     }
 
     /// [`Parser::reparse_after_edit`] with a [`ParseObserver`]: fires
-    /// [`ParseObserver::on_incremental_relex`] once for the splice, then
+    /// [`Event::IncrementalRelex`] once for the splice, then
     /// (unless the cached outcome is reused) the usual parse events.
     pub fn reparse_after_edit_observed<O: ParseObserver>(
         &mut self,
@@ -148,11 +148,11 @@ impl Parser {
         obs: &mut O,
     ) -> Result<SessionReparse, EditError> {
         let splice = session.lex.apply(edit)?;
-        obs.on_incremental_relex(
-            splice.tokens_relexed as u64,
-            splice.tokens_reused as u64,
-            splice.relex_micros,
-        );
+        obs.on_event(Event::IncrementalRelex {
+            tokens_relexed: splice.tokens_relexed as u64,
+            tokens_reused: splice.tokens_reused as u64,
+            micros: splice.relex_micros,
+        });
         let reused = splice.unchanged;
         if !reused {
             session.cached = self.run(session.lex.tokens(), session.recover, obs);

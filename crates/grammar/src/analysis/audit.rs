@@ -58,7 +58,7 @@
 //! collide witness, but a *deflated* bound cannot be refuted by any
 //! single witness — sufficiency is a universal property. Deflation is
 //! instead caught at parse time by the engine's certificate check
-//! (`on_certificate_check` fires with `ok = false` the moment a
+//! (`Event::CertificateCheck` fires with `ok = false` the moment a
 //! prediction uses more lookahead than the certificate admits). Any
 //! replay failure makes the cache load return `None`, and the caller
 //! silently recomputes: a corrupted or tampered certificate costs a
@@ -1014,7 +1014,7 @@ mod tests {
         // accepts this: sufficiency is a universal property no single
         // witness can refute, so understating a bound is out of static
         // replay's reach by design — the parse-time certificate check
-        // (`on_certificate_check`) flags it on the first input that
+        // (`Event::CertificateCheck`) flags it on the first input that
         // needs more lookahead than the certificate admits.
         let mut by_nt = rows.clone();
         let mut info = t.audit(x).unwrap().clone();

@@ -58,7 +58,7 @@
 //! **replayed, never trusted**, on load: [`replay`] recomputes the model
 //! from the live analyses and demands equality. A deflated certificate
 //! that somehow survives replay is still caught dynamically by the
-//! `on_cost_check` observer hook, which compares every finished parse's
+//! `Event::CostCheck` parse event, which compares every finished parse's
 //! metered fuel against `bound_for(n)`.
 
 use crate::analysis::audit::AuditTable;
@@ -77,7 +77,7 @@ pub const COST_SCHEMA: &str = "costar-cost-v1";
 ///
 /// Constructed by [`CostModel::compute`]; consumed by `--max-steps auto`
 /// (per-input fuel derivation), the `costar cost` subcommand, lint codes
-/// L012/L013, and the parse-time `on_cost_check` soundness probe.
+/// L012/L013, and the parse-time `Event::CostCheck` soundness probe.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct CostModel {
     /// `P`: the number of nonterminals.

@@ -802,7 +802,7 @@ fn corrupt_word<N: Nondet>(nd: &mut N, g: &Grammar, word: &[Token]) -> Vec<Token
 ///   *no* word of length `k` keeps both alternatives alive — the
 ///   universal half of "exact" that no single witness can carry (and the
 ///   reason a *deflated* bound is only caught dynamically, by the
-///   engine's `on_certificate_check`).
+///   engine's `Event::CertificateCheck`).
 /// * **Dead verdicts (L009)**: an independent bounded derivation search
 ///   over sentential forms agrees — an alternative flagged dead derives
 ///   no terminal word, and whenever the search exhausts conclusively

@@ -241,7 +241,7 @@ fn h_cost_sound_covers_both_outcomes() {
 /// against real metered parses of all four bundled languages
 /// (JSON, XML, DOT, Python), not just templates and sampled grammars.
 /// Every corpus file must parse within `CostModel::bound_for(n)` with
-/// zero `on_cost_check` violations — the same obligation `costar cost`
+/// zero `Event::CostCheck` violations — the same obligation `costar cost`
 /// certifies and `--max-steps auto` relies on.
 /// The deterministic leg of `H-INCR-LEX-SOUND`: replay edit sessions
 /// against the real DFA lexers of all four bundled languages, not just
