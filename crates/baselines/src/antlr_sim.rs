@@ -60,10 +60,10 @@ struct QuickRow {
     at_eof: Option<ProdId>,
 }
 
-/// A simulated-stack frame: `(production, dot)`; `u32::MAX` marks the
-/// machine's bottom pseudo-frame.
-type SimFrame = (u32, u32);
-const BOTTOM: u32 = u32::MAX;
+/// A simulated-stack frame: `(production, dot)`, the production `None`
+/// for the machine's bottom frame `[S]` — the same grammar location as a
+/// machine [`Frame`], resolved through the grammar.
+type SimFrame = (Option<ProdId>, u32);
 
 /// A subparser configuration.
 #[derive(Debug, Clone, PartialEq, Eq, Hash, PartialOrd, Ord)]
@@ -140,15 +140,14 @@ pub struct SimCacheStats {
     pub transitions: usize,
 }
 
-/// A machine-stack frame of the imperative parser.
+/// A machine-stack frame of the imperative parser: the production it
+/// processes (`None` for the bottom frame `[S]`), a dot, and the trees of
+/// the processed symbols. The symbols are read through the grammar, as
+/// CoStar's own frames read theirs.
 #[derive(Debug)]
 struct Frame {
-    rhs: Arc<[Symbol]>,
+    prod: Option<ProdId>,
     dot: usize,
-    caller: Option<NonTerminal>,
-    /// Production index, or BOTTOM for the start pseudo-frame — kept so
-    /// prediction can mirror the machine stack cheaply.
-    prod: u32,
     trees: Vec<Tree>,
 }
 
@@ -177,8 +176,6 @@ pub struct AntlrSim {
     quick: Vec<Option<QuickRow>>,
     dfa: SllDfa,
     persistent_cache: bool,
-    /// Shared `[start]` right-hand side for the bottom pseudo-frame.
-    bottom_rhs: Arc<[Symbol]>,
 }
 
 impl AntlrSim {
@@ -187,14 +184,12 @@ impl AntlrSim {
     pub fn new(grammar: Grammar) -> Self {
         let analysis = GrammarAnalysis::compute(&grammar);
         let quick = build_quick_rows(&grammar, &analysis);
-        let bottom_rhs: Arc<[Symbol]> = Arc::from([Symbol::Nt(grammar.start())]);
         AntlrSim {
             grammar,
             analysis,
             quick,
             dfa: SllDfa::default(),
             persistent_cache: true,
-            bottom_rhs,
         }
     }
 
@@ -235,23 +230,20 @@ impl AntlrSim {
         if !self.persistent_cache {
             self.dfa = SllDfa::default();
         }
-        let g = &self.grammar;
         let mut stack = vec![Frame {
-            rhs: Arc::clone(&self.bottom_rhs),
+            prod: None,
             dot: 0,
-            caller: None,
-            prod: BOTTOM,
             trees: Vec::new(),
         }];
         let mut cursor = 0usize;
-        let mut visited = NtSet::with_capacity(g.num_nonterminals());
+        let mut visited = NtSet::with_capacity(self.grammar.num_nonterminals());
         let mut unique = true;
 
         loop {
             let top = stack.last_mut().expect("stack never empties");
-            if top.dot >= top.rhs.len() {
+            let Some(head) = self.grammar.frame_rhs(top.prod).get(top.dot).copied() else {
                 let done = stack.pop().expect("nonempty");
-                match done.caller {
+                match self.grammar.frame_lhs(done.prod) {
                     None => {
                         return if cursor == word.len() {
                             let tree = done.trees.into_iter().next().expect("one tree");
@@ -274,8 +266,8 @@ impl AntlrSim {
                         continue;
                     }
                 }
-            }
-            match top.rhs[top.dot] {
+            };
+            match head {
                 Symbol::T(a) => match word.get(cursor) {
                     Some(t) if t.terminal() == a => {
                         top.trees.push(Tree::Leaf(t.clone()));
@@ -301,15 +293,12 @@ impl AntlrSim {
                     }
                     let top = stack.last_mut().expect("nonempty");
                     top.dot += 1;
-                    let rhs = self.grammar.rhs_arc(alt);
                     // Reserve one tree slot per rhs symbol, as CoStar's
                     // machine does, so the two differ only in prediction.
                     stack.push(Frame {
-                        trees: Vec::with_capacity(rhs.len()),
-                        rhs,
+                        prod: Some(alt),
                         dot: 0,
-                        caller: Some(x),
-                        prod: alt.index() as u32,
+                        trees: Vec::with_capacity(self.grammar.production(alt).rhs().len()),
                     });
                     visited.insert(x);
                 }
@@ -431,7 +420,7 @@ impl AntlrSim {
             .iter()
             .map(|&q| {
                 let mut stack = base.to_vec();
-                stack.push((q.index() as u32, 0));
+                stack.push((Some(q), 0));
                 Config {
                     alt: q.index() as u32,
                     state: SpState::Stack(stack),
@@ -440,23 +429,12 @@ impl AntlrSim {
             .collect()
     }
 
-    fn frame_syms(&self, frame: SimFrame) -> (Option<NonTerminal>, Arc<[Symbol]>) {
-        if frame.0 == BOTTOM {
-            (None, Arc::from([Symbol::Nt(self.grammar.start())]))
-        } else {
-            let pid = ProdId::from_index(frame.0 as usize);
-            let p = self.grammar.production(pid);
-            (Some(p.lhs()), p.rhs_arc())
-        }
-    }
-
     fn move_configs(&self, configs: &[Config], t: Terminal) -> Vec<Config> {
         let mut out = Vec::new();
         for c in configs {
             if let SpState::Stack(stack) = &c.state {
-                let &frame = stack.last().expect("stable configs nonempty");
-                let (_, rhs) = self.frame_syms(frame);
-                if rhs.get(frame.1 as usize) == Some(&Symbol::T(t)) {
+                let &(prod, dot) = stack.last().expect("stable configs nonempty");
+                if self.grammar.frame_rhs(prod).get(dot as usize) == Some(&Symbol::T(t)) {
                     let mut next = stack.clone();
                     next.last_mut().expect("nonempty").1 += 1;
                     out.push(Config {
@@ -497,9 +475,8 @@ impl AntlrSim {
             if !explored.insert(key) {
                 continue;
             }
-            let &frame = stack.last().expect("worklist stacks nonempty");
-            let (lhs, rhs) = self.frame_syms(frame);
-            match rhs.get(frame.1 as usize) {
+            let &(prod, dot) = stack.last().expect("worklist stacks nonempty");
+            match self.grammar.frame_rhs(prod).get(dot as usize) {
                 Some(Symbol::T(_)) => {
                     let c = Config {
                         alt,
@@ -519,13 +496,14 @@ impl AntlrSim {
                     stack.last_mut().expect("nonempty").1 += 1;
                     for &q in self.grammar.alternatives(y) {
                         let mut pushed = stack.clone();
-                        pushed.push((q.index() as u32, 0));
+                        pushed.push((Some(q), 0));
                         work.push((alt, pushed, visited.clone()));
                     }
                 }
                 None => {
                     // Exhausted frame: simulated return.
                     stack.pop();
+                    let lhs = self.grammar.frame_lhs(prod);
                     if let Some(x) = lhs {
                         visited.remove(x);
                     }
@@ -549,7 +527,7 @@ impl AntlrSim {
                                     let c = Config {
                                         alt,
                                         state: SpState::Stack(vec![(
-                                            pos.production.index() as u32,
+                                            Some(pos.production),
                                             pos.dot,
                                         )]),
                                     };

@@ -245,10 +245,8 @@ impl TreeBuilder<'_> {
     }
 
     fn build_seq(&mut self, prod: u32, dot: u16, i: usize, j: usize) -> Option<Vec<Tree>> {
-        let rhs = self
-            .g
-            .production(ProdId::from_index(prod as usize))
-            .rhs_arc();
+        let g = self.g;
+        let rhs = g.production(ProdId::from_index(prod as usize)).rhs();
         if dot as usize == rhs.len() {
             return (i == j).then(Vec::new);
         }

@@ -134,25 +134,25 @@ impl Ll1Parser {
     /// Parses `word`, returning its parse tree or `None` on rejection.
     /// LL(1) grammars are unambiguous, so no ambiguity label is needed.
     pub fn parse(&self, word: &[Token]) -> Option<Tree> {
+        // The production a frame processes (`None`: the bottom frame
+        // `[S]`), read through the grammar as CoStar's frames are.
         struct Frame {
-            rhs: std::sync::Arc<[Symbol]>,
+            prod: Option<ProdId>,
             dot: usize,
-            caller: Option<NonTerminal>,
             trees: Vec<Tree>,
         }
         let g = &self.grammar;
         let mut stack = vec![Frame {
-            rhs: std::sync::Arc::from([Symbol::Nt(g.start())]),
+            prod: None,
             dot: 0,
-            caller: None,
             trees: Vec::new(),
         }];
         let mut cursor = 0usize;
         loop {
             let top = stack.last_mut().expect("stack never empties");
-            if top.dot >= top.rhs.len() {
+            let Some(head) = g.frame_rhs(top.prod).get(top.dot).copied() else {
                 let done = stack.pop().expect("nonempty");
-                match done.caller {
+                match g.frame_lhs(done.prod) {
                     None => {
                         // Bottom frame finished.
                         return if cursor == word.len() {
@@ -170,8 +170,8 @@ impl Ll1Parser {
                         continue;
                     }
                 }
-            }
-            match top.rhs[top.dot] {
+            };
+            match head {
                 Symbol::T(a) => match word.get(cursor) {
                     Some(t) if t.terminal() == a => {
                         top.trees.push(Tree::Leaf(t.clone()));
@@ -186,12 +186,10 @@ impl Ll1Parser {
                         None => self.eof_entry[x.index()],
                     }?;
                     top.dot += 1;
-                    let rhs = g.rhs_arc(pid);
                     stack.push(Frame {
-                        trees: Vec::with_capacity(rhs.len()),
-                        rhs,
+                        prod: Some(pid),
                         dot: 0,
-                        caller: Some(x),
+                        trees: Vec::with_capacity(g.production(pid).rhs().len()),
                     });
                 }
             }

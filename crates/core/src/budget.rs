@@ -289,10 +289,11 @@ impl Budget {
     }
 }
 
-/// How many fuel charges pass between wall-clock reads (amortizes
-/// `Instant::now`, which would otherwise dominate small steps). The first
-/// charge always checks, so a tiny deadline aborts promptly.
-const DEADLINE_CHECK_INTERVAL: u32 = 256;
+/// How many fuel charges — or prediction closure worklist items — pass
+/// between wall-clock reads (amortizes `Instant::now`, which would
+/// otherwise dominate small steps). The first charge always checks, so a
+/// tiny deadline aborts promptly.
+pub(crate) const DEADLINE_CHECK_INTERVAL: u32 = 256;
 
 /// The per-run mutable counterpart of a [`Budget`]: fuel remaining, the
 /// deadline clock, and the step counter. One meter lives inside each
@@ -342,16 +343,12 @@ impl Meter {
     /// Deadline bookkeeping runs before the fuel check so that an
     /// exhausted fuel pool cannot starve the clock.
     pub(crate) fn charge(&mut self, n: u64) -> Result<(), AbortReason> {
-        if let Some((start, limit)) = self.deadline {
+        if self.deadline.is_some() {
             let spent = u32::try_from(n).unwrap_or(u32::MAX);
             self.until_clock_check = self.until_clock_check.saturating_sub(spent.max(1));
             if self.until_clock_check == 0 {
                 self.until_clock_check = DEADLINE_CHECK_INTERVAL;
-                if start.elapsed() > limit {
-                    return Err(AbortReason::DeadlineExpired {
-                        budget_ms: limit.as_millis() as u64,
-                    });
-                }
+                self.check_deadline()?;
             }
         }
         if let Some(fuel) = &mut self.fuel {
@@ -364,6 +361,17 @@ impl Meter {
         }
         self.steps = self.steps.saturating_add(n);
         Ok(())
+    }
+
+    /// Reads the clock against the deadline, charging nothing: work that
+    /// spends no fuel (prediction closure) calls this on its own schedule.
+    pub(crate) fn check_deadline(&self) -> Result<(), AbortReason> {
+        match self.deadline {
+            Some((start, limit)) if start.elapsed() > limit => Err(AbortReason::DeadlineExpired {
+                budget_ms: limit.as_millis() as u64,
+            }),
+            _ => Ok(()),
+        }
     }
 
     /// Checks a prospective suffix-stack depth against the ceiling.

@@ -38,11 +38,10 @@ fn violation(invariant: &'static str, detail: String) -> Result<(), InvariantVio
 /// well-formed.
 ///
 /// * The stacks have equal height.
-/// * The bottom suffix frame holds exactly the start symbol and has no
-///   caller.
-/// * Every upper frame pair instantiates a grammar production for the
-///   caller nonterminal recorded in the suffix frame, and the caller
-///   frame's last-processed symbol is that nonterminal.
+/// * The bottom suffix frame is the start form `[S]` (it names no
+///   production, so it has no caller).
+/// * Every upper frame names a grammar production, and the caller
+///   frame's last-processed symbol is that production's left-hand side.
 /// * In every frame, the roots of the prefix forest spell the processed
 ///   symbols `rhs[..dot]` of the matching suffix frame.
 ///
@@ -65,20 +64,23 @@ pub fn check_stacks_wf(g: &Grammar, state: &MachineState) -> Result<(), Invarian
         return violation(NAME, "suffix stack is empty".to_owned());
     }
 
-    let bottom = &state.suffix[0];
-    if bottom.caller.is_some() {
-        return violation(NAME, "bottom frame has a caller".to_owned());
-    }
-    if bottom.rhs.as_ref() != [Symbol::Nt(g.start())] {
+    if state.suffix[0].prod.is_some() {
         return violation(
             NAME,
-            "bottom frame does not hold the start symbol".to_owned(),
+            "bottom frame names a production, not the start form".to_owned(),
         );
     }
 
     let top = state.suffix.len() - 1;
     for (i, frame) in state.suffix.iter().enumerate() {
-        if frame.dot > frame.rhs.len() {
+        if frame.prod.is_some_and(|p| p.index() >= g.num_productions()) {
+            return violation(
+                NAME,
+                format!("frame {i} names no production of the grammar"),
+            );
+        }
+        let rhs = frame.rhs(g);
+        if frame.dot > rhs.len() {
             return violation(NAME, format!("frame {i} dot out of range"));
         }
         // Prefix forest roots must spell the processed symbols. A frame
@@ -86,7 +88,7 @@ pub fn check_stacks_wf(g: &Grammar, state: &MachineState) -> Result<(), Invarian
         // the open nonterminal, whose tree arrives at return time, so its
         // forest covers `rhs[..dot-1]`.
         let processed = if i == top {
-            &frame.rhs[..frame.dot]
+            &rhs[..frame.dot]
         } else {
             if frame.dot == 0 {
                 return violation(
@@ -94,7 +96,7 @@ pub fn check_stacks_wf(g: &Grammar, state: &MachineState) -> Result<(), Invarian
                     format!("non-top frame {i} has not passed its open nonterminal"),
                 );
             }
-            &frame.rhs[..frame.dot - 1]
+            &rhs[..frame.dot - 1]
         };
         let roots = forest_roots(&state.prefix[i].trees);
         if roots != processed {
@@ -106,17 +108,14 @@ pub fn check_stacks_wf(g: &Grammar, state: &MachineState) -> Result<(), Invarian
         if i == 0 {
             continue;
         }
-        // Upper frames: the caller is recorded, instantiates a production,
-        // and sits just before the caller frame's dot (the machine
-        // advances the caller's dot at push time).
-        let Some(x) = frame.caller else {
+        // Upper frames name a production, whose left-hand side sits just
+        // before the caller frame's dot (the machine advances the
+        // caller's dot at push time).
+        let Some(x) = frame.caller(g) else {
             return violation(NAME, format!("upper frame {i} has no caller"));
         };
-        if !has_production(g, x, &frame.rhs) {
-            return violation(NAME, format!("frame {i} is not a production of its caller"));
-        }
         let below = &state.suffix[i - 1];
-        if below.dot == 0 || below.rhs.get(below.dot - 1) != Some(&Symbol::Nt(x)) {
+        if below.dot == 0 || below.rhs(g).get(below.dot - 1) != Some(&Symbol::Nt(x)) {
             return violation(
                 NAME,
                 format!("frame {i}'s caller is not the symbol before the dot below"),
@@ -130,10 +129,10 @@ pub fn check_stacks_wf(g: &Grammar, state: &MachineState) -> Result<(), Invarian
 /// (§5.4.2), in its checkable structural form: every visited nonterminal
 /// is the caller of some suffix frame above the last consume — i.e. it has
 /// been opened and not yet fully processed.
-pub fn check_visited(state: &MachineState) -> Result<(), InvariantViolation> {
+pub fn check_visited(g: &Grammar, state: &MachineState) -> Result<(), InvariantViolation> {
     const NAME: &str = "Visited_I";
     for x in state.visited.iter() {
-        let open = state.suffix.iter().any(|f| f.caller == Some(x));
+        let open = state.suffix.iter().any(|f| f.caller(g) == Some(x));
         if !open {
             return violation(
                 NAME,
@@ -231,7 +230,7 @@ fn check_subtree(g: &Grammar, tree: &Tree) -> Result<(), String> {
 /// Runs every invariant checker.
 pub fn check_all(g: &Grammar, state: &MachineState) -> Result<(), InvariantViolation> {
     check_stacks_wf(g, state)?;
-    check_visited(state)?;
+    check_visited(g, state)?;
     Ok(())
 }
 
@@ -251,8 +250,7 @@ pub fn check_all_with_input(
 mod tests {
     use super::*;
     use crate::state::{MachineState, PrefixFrame, SuffixFrame};
-    use costar_grammar::{GrammarBuilder, NonTerminal, Token, Tree};
-    use std::sync::Arc;
+    use costar_grammar::{GrammarBuilder, NonTerminal, ProdId, Token, Tree};
 
     fn fig2() -> Grammar {
         let mut gb = GrammarBuilder::new();
@@ -266,26 +264,39 @@ mod tests {
     #[test]
     fn initial_state_is_well_formed() {
         let g = fig2();
-        let st = MachineState::initial(g.start(), g.num_nonterminals());
+        let st = MachineState::initial(g.num_nonterminals());
         assert!(check_all(&g, &st).is_ok());
     }
 
     #[test]
     fn height_mismatch_detected() {
         let g = fig2();
-        let mut st = MachineState::initial(g.start(), g.num_nonterminals());
+        let mut st = MachineState::initial(g.num_nonterminals());
         st.prefix.push(PrefixFrame::default());
         let err = check_stacks_wf(&g, &st).unwrap_err();
         assert!(err.detail.contains("heights differ"));
     }
 
     #[test]
-    fn wrong_bottom_symbol_detected() {
+    fn bottom_frame_naming_a_production_detected() {
         let g = fig2();
         let a = g.symbols().lookup_nonterminal("A").unwrap();
-        let st = MachineState::initial(a, g.num_nonterminals());
+        let mut st = MachineState::initial(g.num_nonterminals());
+        st.suffix[0] = SuffixFrame::new(g.alternatives(a)[1]);
         let err = check_stacks_wf(&g, &st).unwrap_err();
-        assert!(err.detail.contains("start symbol"));
+        assert!(err.detail.contains("bottom frame"));
+    }
+
+    #[test]
+    fn frame_naming_no_production_detected() {
+        let g = fig2();
+        let mut st = MachineState::initial(g.num_nonterminals());
+        st.suffix[0].dot = 1;
+        st.suffix
+            .push(SuffixFrame::new(ProdId::from_index(g.num_productions())));
+        st.prefix.push(PrefixFrame::default());
+        let err = check_stacks_wf(&g, &st).unwrap_err();
+        assert!(err.detail.contains("names no production"));
     }
 
     #[test]
@@ -293,29 +304,31 @@ mod tests {
         let g = fig2();
         let s = g.start();
         let a = g.symbols().lookup_nonterminal("A").unwrap();
-        let mut st = MachineState::initial(s, g.num_nonterminals());
-        // Fake a push of a non-production frame for A.
+        let mut st = MachineState::initial(g.num_nonterminals());
+        // Fake a push of A's production under the bottom frame, whose
+        // processed symbol is S, not A.
         st.suffix[0].dot = 1;
-        st.suffix.push(SuffixFrame {
-            caller: Some(a),
-            rhs: Arc::from([Symbol::Nt(s)]), // not a production of A
-            dot: 0,
-        });
+        st.suffix.push(SuffixFrame::new(g.alternatives(a)[1]));
         st.prefix.push(PrefixFrame::default());
-        // The bottom prefix frame must spell [S] processed... it doesn't,
-        // so fix that part up first to reach the production check.
-        st.prefix[0].trees.push(Tree::Node(s, vec![]));
         let err = check_stacks_wf(&g, &st).unwrap_err();
-        // Either the forest-roots rule (bottom holds Node(S) but S -> ε is
-        // not relevant here) or the production rule fires; both are
-        // violations of StacksWf_I.
-        assert_eq!(err.invariant, "StacksWf_I");
+        assert!(err.detail.contains("caller is not the symbol"), "{err}");
+        // The same frame over an S-frame whose dot passed A holds.
+        st.suffix[0] = SuffixFrame::bottom().advanced();
+        st.suffix.insert(
+            1,
+            SuffixFrame {
+                prod: Some(g.alternatives(s)[0]),
+                dot: 1,
+            },
+        );
+        st.prefix.insert(1, PrefixFrame::default());
+        assert!(check_stacks_wf(&g, &st).is_ok());
     }
 
     #[test]
     fn prefix_roots_must_match_processed_symbols() {
         let g = fig2();
-        let mut st = MachineState::initial(g.start(), g.num_nonterminals());
+        let mut st = MachineState::initial(g.num_nonterminals());
         let b = g.symbols().lookup_terminal("b").unwrap();
         st.prefix[0].trees.push(Tree::Leaf(Token::new(b, "b")));
         let err = check_stacks_wf(&g, &st).unwrap_err();
@@ -327,7 +340,7 @@ mod tests {
         let g = fig2();
         let b = g.symbols().lookup_terminal("b").unwrap();
         let word = vec![Token::new(b, "b")];
-        let mut st = MachineState::initial(g.start(), g.num_nonterminals());
+        let mut st = MachineState::initial(g.num_nonterminals());
         // Initially: nothing consumed, empty forests — holds.
         assert!(check_prefix_derivation(&g, &st, &word).is_ok());
         // A leaf stored without advancing the cursor violates it.
@@ -345,7 +358,7 @@ mod tests {
         let b = g.symbols().lookup_terminal("b").unwrap();
         let s = g.start();
         let word = vec![Token::new(b, "b")];
-        let mut st = MachineState::initial(s, g.num_nonterminals());
+        let mut st = MachineState::initial(g.num_nonterminals());
         // Node(S, [Leaf b]) is not a production of S.
         st.prefix[0]
             .trees
@@ -358,9 +371,9 @@ mod tests {
     #[test]
     fn stray_visited_nonterminal_detected() {
         let g = fig2();
-        let mut st = MachineState::initial(g.start(), g.num_nonterminals());
+        let mut st = MachineState::initial(g.num_nonterminals());
         st.visited.insert(NonTerminal::from_index(0));
-        let err = check_visited(&st).unwrap_err();
+        let err = check_visited(&g, &st).unwrap_err();
         assert_eq!(err.invariant, "Visited_I");
         assert!(err.to_string().contains("not open"));
     }

@@ -159,7 +159,7 @@ impl<'a> Machine<'a> {
             grammar,
             analysis,
             tokens,
-            state: MachineState::initial(grammar.start(), grammar.num_nonterminals()),
+            state: MachineState::initial(grammar.num_nonterminals()),
             mode,
             meter: Meter::new(
                 &budget.resolve_auto_steps(|| analysis.cost.bound_for(tokens.len() as u64)),
@@ -256,7 +256,7 @@ impl<'a> Machine<'a> {
             return StepResult::Error(ParseError::invalid_state("machine has no suffix frames"));
         };
 
-        if st.suffix[top].is_exhausted() {
+        let Some(head) = st.suffix[top].head(self.grammar) else {
             if top == 0 {
                 // Bottom frame exhausted: final configuration, or trailing
                 // input.
@@ -289,7 +289,7 @@ impl<'a> Machine<'a> {
                     "suffix stack emptied during a return operation",
                 ));
             };
-            let Some(x) = done.caller else {
+            let Some(x) = done.caller(self.grammar) else {
                 return StepResult::Error(ParseError::invalid_state(
                     "return with no open nonterminal in the caller frame",
                 ));
@@ -312,12 +312,6 @@ impl<'a> Machine<'a> {
                 stack_height: st.suffix.len(),
             });
             return StepResult::Cont;
-        }
-
-        let Some(head) = st.suffix[top].head() else {
-            return StepResult::Error(ParseError::invalid_state(
-                "exhausted frame reached symbol dispatch",
-            ));
         };
         match head {
             Symbol::T(a) => {
@@ -407,18 +401,14 @@ impl<'a> Machine<'a> {
                     st.unique = false;
                 }
                 st.suffix[top].dot += 1; // the caller's dot passes X now
-                let rhs = self.grammar.rhs_arc(alt);
+
                 // A clean parse pushes exactly one tree per rhs symbol, so
                 // the forest never regrows and the `Tree::Node` it becomes
                 // on return carries no spare capacity.
                 st.prefix.push(PrefixFrame {
-                    trees: Vec::with_capacity(rhs.len()),
+                    trees: Vec::with_capacity(self.grammar.production(alt).rhs().len()),
                 });
-                st.suffix.push(SuffixFrame {
-                    caller: Some(x),
-                    rhs,
-                    dot: 0,
-                });
+                st.suffix.push(SuffixFrame::new(alt));
                 st.visited.insert(x);
                 obs.on_event(Event::Op {
                     op: MachineOp::Push,

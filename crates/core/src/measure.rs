@@ -56,9 +56,9 @@ impl fmt::Display for Measure {
 /// Public so the `costar-verify` harnesses (`H-MEASURE-ORD`) can exercise
 /// the frame-level algebra of Lemmas 4.3/4.4 over nondeterministic frames
 /// directly, not only through full machine states.
-pub fn frame_score(frame: &SuffixFrame, base: u64, exp: usize) -> BigNat {
+pub fn frame_score(g: &Grammar, frame: SuffixFrame, base: u64, exp: usize) -> BigNat {
     let mut score = BigNat::pow(base, exp);
-    score.mul_u64_assign(frame.unprocessed().len() as u64);
+    score.mul_u64_assign(frame.unprocessed(g).len() as u64);
     score
 }
 
@@ -67,10 +67,15 @@ pub fn frame_score(frame: &SuffixFrame, base: u64, exp: usize) -> BigNat {
 /// machine's storage order), so the iteration walks it in reverse.
 ///
 /// Public for the `costar-verify` harnesses (see [`frame_score`]).
-pub fn stack_score_prime(frames: &[SuffixFrame], base: u64, initial_exp: usize) -> BigNat {
+pub fn stack_score_prime(
+    g: &Grammar,
+    frames: &[SuffixFrame],
+    base: u64,
+    initial_exp: usize,
+) -> BigNat {
     let mut total = BigNat::zero();
-    for (depth_from_top, frame) in frames.iter().rev().enumerate() {
-        total.add_assign(&frame_score(frame, base, initial_exp + depth_from_top));
+    for (depth_from_top, &frame) in frames.iter().rev().enumerate() {
+        total.add_assign(&frame_score(g, frame, base, initial_exp + depth_from_top));
     }
     total
 }
@@ -85,7 +90,7 @@ pub fn stack_score(g: &Grammar, frames: &[SuffixFrame], visited: &NtSet) -> BigN
     // difference is a plain subtraction.
     let universe = universe_size(g);
     let exp = universe.saturating_sub(visited.len());
-    stack_score_prime(frames, base, exp)
+    stack_score_prime(g, frames, base, exp)
 }
 
 /// `|U|`: the number of distinct grammar left-hand sides.
@@ -108,8 +113,7 @@ pub fn meas(g: &Grammar, state: &MachineState, total_tokens: usize) -> Measure {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use costar_grammar::{GrammarBuilder, Symbol};
-    use std::sync::Arc;
+    use costar_grammar::GrammarBuilder;
 
     fn fig2_grammar() -> Grammar {
         let mut gb = GrammarBuilder::new();
@@ -118,14 +122,6 @@ mod tests {
         gb.rule("A", &["a", "A"]);
         gb.rule("A", &["b"]);
         gb.start("S").build().unwrap()
-    }
-
-    fn frame(rhs: Vec<Symbol>, dot: usize) -> SuffixFrame {
-        SuffixFrame {
-            caller: None,
-            rhs: Arc::from(rhs.into_boxed_slice()),
-            dot,
-        }
     }
 
     #[test]
@@ -158,19 +154,23 @@ mod tests {
     #[test]
     fn frame_score_counts_unprocessed_only() {
         let g = fig2_grammar();
-        let a = g.symbols().lookup_terminal("a").unwrap();
-        let f = frame(vec![a.into(), a.into(), a.into()], 1);
-        // base 3 (maxRhsLen 2), exponent 2: 9 * 2 unprocessed = 18.
-        assert_eq!(frame_score(&f, 3, 2).to_string(), "18");
+        let a_nt = g.symbols().lookup_nonterminal("A").unwrap();
+        // A -> a . A; base 3 (maxRhsLen 2), exponent 2: 9 * 1 unprocessed = 9.
+        let f = SuffixFrame::new(g.alternatives(a_nt)[0]).advanced();
+        assert_eq!(frame_score(&g, f, 3, 2).to_string(), "9");
+        // Both symbols unprocessed: 9 * 2 = 18.
+        assert_eq!(
+            frame_score(&g, SuffixFrame::new(f.prod.unwrap()), 3, 2).to_string(),
+            "18"
+        );
     }
 
     #[test]
     fn lower_frames_weigh_more() {
         let g = fig2_grammar();
-        let a = g.symbols().lookup_terminal("a").unwrap();
-        let one = frame(vec![a.into()], 0);
+        let one = SuffixFrame::bottom();
         // Two identical frames: top gets b^e, bottom b^(e+1).
-        let score = stack_score_prime(&[one.clone(), one], 3, 1);
+        let score = stack_score_prime(&g, &[one, one], 3, 1);
         assert_eq!(score.to_string(), "12"); // 3^2 (bottom) + 3^1 (top)
     }
 
@@ -181,17 +181,13 @@ mod tests {
         let g = fig2_grammar();
         let s = g.symbols().lookup_nonterminal("S").unwrap();
         let mut visited = NtSet::with_capacity(2);
-        let before_frames = vec![frame(vec![Symbol::Nt(s)], 0)];
+        let before_frames = vec![SuffixFrame::bottom()];
         let before = stack_score(&g, &before_frames, &visited);
 
         let pid = g.alternatives(s)[1]; // S -> A d
         let after_frames = vec![
-            frame(vec![Symbol::Nt(s)], 1), // caller dot advanced past S
-            SuffixFrame {
-                caller: Some(s),
-                rhs: g.rhs_arc(pid),
-                dot: 0,
-            },
+            SuffixFrame::bottom().advanced(), // caller dot advanced past S
+            SuffixFrame::new(pid),
         ];
         visited.insert(s);
         let after = stack_score(&g, &after_frames, &visited);
@@ -208,14 +204,12 @@ mod tests {
         let mut visited = NtSet::with_capacity(2);
         visited.insert(s);
         visited.insert(a_nt);
-        let exhausted = SuffixFrame {
-            caller: Some(a_nt),
-            rhs: g.rhs_arc(g.alternatives(a_nt)[1]), // A -> b
-            dot: 1,
-        };
-        // Caller keeps one unprocessed symbol so the comparison is not 0 = 0.
-        let caller = frame(vec![Symbol::Nt(s), Symbol::Nt(s)], 1);
-        let before = stack_score(&g, &[caller.clone(), exhausted], &visited);
+        // A -> b .
+        let exhausted = SuffixFrame::new(g.alternatives(a_nt)[1]).advanced();
+        // S -> A . c: the caller keeps one unprocessed symbol so the
+        // comparison is not 0 = 0.
+        let caller = SuffixFrame::new(g.alternatives(s)[0]).advanced();
+        let before = stack_score(&g, &[caller, exhausted], &visited);
         visited.remove(a_nt);
         let after = stack_score(&g, &[caller], &visited);
         assert!(!before.is_zero());
@@ -225,8 +219,7 @@ mod tests {
     #[test]
     fn meas_uses_cursor_for_tokens() {
         let g = fig2_grammar();
-        let s = g.symbols().lookup_nonterminal("S").unwrap();
-        let mut st = MachineState::initial(s, g.num_nonterminals());
+        let mut st = MachineState::initial(g.num_nonterminals());
         st.cursor = 2;
         let m = meas(&g, &st, 5);
         assert_eq!(m.tokens_remaining, 3);

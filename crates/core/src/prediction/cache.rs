@@ -584,11 +584,7 @@ mod tests {
             gb.start("S").build().unwrap()
         };
         let s = g.symbols().lookup_nonterminal("S").unwrap();
-        let stack = SimStack::empty().push(crate::prediction::sim::SimFrame {
-            lhs: Some(s),
-            rhs: g.rhs_arc(g.alternatives(s)[0]),
-            dot: 0,
-        });
+        let stack = SimStack::empty().push(crate::state::SuffixFrame::new(g.alternatives(s)[0]));
         let not_eof = cache.intern(vec![
             Config {
                 alt: g.alternatives(s)[0],

@@ -33,12 +33,11 @@ use crate::error::ParseError;
 use crate::observe::{DecisionPath, Event, ParseObserver, PredictOutcome, PredictPhase};
 use crate::prediction::cache::{EofResolution, Resolution, SllCache, StateId};
 use crate::prediction::sim::{
-    closure, distinct_alts, move_configs, Config, SimFrame, SimMode, SimStack, SpState,
+    closure, distinct_alts, move_configs, ClosureStop, Config, SimMode, SimStack, SpState,
 };
 use crate::state::SuffixFrame;
 use costar_grammar::analysis::GrammarAnalysis;
 use costar_grammar::{Grammar, NonTerminal, ProdId, Token};
-use std::sync::Arc;
 
 /// The result of a prediction (`p` in paper Fig. 1, extended with the
 /// budget-abort outcome).
@@ -60,6 +59,15 @@ pub(crate) enum Prediction {
     Abort(AbortReason),
 }
 
+impl From<ClosureStop> for Prediction {
+    fn from(stop: ClosureStop) -> Self {
+        match stop {
+            ClosureStop::Error(e) => Prediction::Error(e),
+            ClosureStop::Abort(r) => Prediction::Abort(r),
+        }
+    }
+}
+
 impl Prediction {
     /// The observer-facing classification of this prediction result.
     fn outcome(&self) -> PredictOutcome {
@@ -78,13 +86,9 @@ impl Prediction {
 /// nonterminal (mirroring what the machine's own push operation does).
 fn machine_base_stack(suffix: &[SuffixFrame]) -> SimStack {
     let mut stack = SimStack::empty();
-    for (i, frame) in suffix.iter().enumerate() {
+    for (i, &frame) in suffix.iter().enumerate() {
         let is_top = i + 1 == suffix.len();
-        stack = stack.push(SimFrame {
-            lhs: frame.caller,
-            rhs: Arc::clone(&frame.rhs),
-            dot: if is_top { frame.dot + 1 } else { frame.dot },
-        });
+        stack = stack.push(if is_top { frame.advanced() } else { frame });
     }
     stack
 }
@@ -96,11 +100,7 @@ fn initial_configs(g: &Grammar, x: NonTerminal, base: &SimStack) -> Vec<Config> 
         .iter()
         .map(|&q| Config {
             alt: q,
-            state: SpState::Stack(base.push(SimFrame {
-                lhs: Some(x),
-                rhs: g.rhs_arc(q),
-                dot: 0,
-            })),
+            state: SpState::Stack(base.push(SuffixFrame::new(q))),
         })
         .collect()
 }
@@ -138,17 +138,16 @@ fn ll_predict_inner<O: ParseObserver>(
     obs: &mut O,
 ) -> Prediction {
     let base = machine_base_stack(suffix);
-    let num_nts = g.num_nonterminals();
     let mut configs = match closure(
         g,
         analysis,
         SimMode::Ll,
         initial_configs(g, x, &base),
-        num_nts,
+        meter,
         obs,
     ) {
         Ok(c) => c,
-        Err(e) => return Prediction::Error(e),
+        Err(stop) => return stop.into(),
     };
     let mut input = remaining.iter();
     loop {
@@ -184,13 +183,13 @@ fn ll_predict_inner<O: ParseObserver>(
                 [first, ..] => Prediction::Ambig(*first),
             };
         };
-        let moved = match move_configs(&configs, t.terminal()) {
+        let moved = match move_configs(g, &configs, t.terminal()) {
             Ok(m) => m,
             Err(e) => return Prediction::Error(e),
         };
-        configs = match closure(g, analysis, SimMode::Ll, moved, num_nts, obs) {
+        configs = match closure(g, analysis, SimMode::Ll, moved, meter, obs) {
             Ok(c) => c,
-            Err(e) => return Prediction::Error(e),
+            Err(stop) => return stop.into(),
         };
     }
 }
@@ -252,7 +251,6 @@ fn sll_predict_inner<O: ParseObserver>(
     meter: &mut Meter,
     obs: &mut O,
 ) -> Prediction {
-    let num_nts = g.num_nonterminals();
     let mut sid: StateId = match cache.start_state(x) {
         Some(id) => id,
         None => {
@@ -261,11 +259,11 @@ fn sll_predict_inner<O: ParseObserver>(
                 analysis,
                 SimMode::Sll,
                 initial_configs(g, x, &SimStack::empty()),
-                num_nts,
+                meter,
                 obs,
             ) {
                 Ok(c) => c,
-                Err(e) => return Prediction::Error(e),
+                Err(stop) => return stop.into(),
             };
             let id = intern_observed(cache, configs, &[], obs);
             cache.set_start_state(x, id);
@@ -317,13 +315,13 @@ fn sll_predict_inner<O: ParseObserver>(
             }
             None => {
                 obs.on_event(Event::CacheMiss);
-                let moved = match move_configs(&cache.state(sid).configs, term) {
+                let moved = match move_configs(g, &cache.state(sid).configs, term) {
                     Ok(m) => m,
                     Err(e) => return Prediction::Error(e),
                 };
-                let next_configs = match closure(g, analysis, SimMode::Sll, moved, num_nts, obs) {
+                let next_configs = match closure(g, analysis, SimMode::Sll, moved, meter, obs) {
                     Ok(c) => c,
-                    Err(e) => return Prediction::Error(e),
+                    Err(stop) => return stop.into(),
                 };
                 let next = intern_observed(cache, next_configs, &[sid], obs);
                 cache.set_transition(sid, term, next);
@@ -471,12 +469,8 @@ mod tests {
         (g, an)
     }
 
-    fn start_suffix(g: &Grammar) -> Vec<SuffixFrame> {
-        vec![SuffixFrame {
-            caller: None,
-            rhs: Arc::from([costar_grammar::Symbol::Nt(g.start())]),
-            dot: 0,
-        }]
+    fn start_suffix() -> Vec<SuffixFrame> {
+        vec![SuffixFrame::bottom()]
     }
 
     fn nt(g: &Grammar, name: &str) -> NonTerminal {
@@ -491,7 +485,7 @@ mod tests {
         let (g, an) = fig2();
         let mut tab = g.symbols().clone();
         let word = tokens(&mut tab, &[("a", "a"), ("b", "b"), ("d", "d")]);
-        let suffix = start_suffix(&g);
+        let suffix = start_suffix();
         let s = nt(&g, "S");
         let p = ll_predict(
             &g,
@@ -514,7 +508,7 @@ mod tests {
         let mut tab = g.symbols().clone();
         let word = tokens(&mut tab, &[("a", "a"), ("b", "b"), ("c", "c")]);
         let s = nt(&g, "S");
-        let suffix = start_suffix(&g);
+        let suffix = start_suffix();
         let mut cache = SllCache::new();
         let sll = sll_predict(
             &g,
@@ -584,7 +578,7 @@ mod tests {
         // "ac" cannot be derived: A never ends with a.
         let word = tokens(&mut tab, &[("a", "a"), ("c", "c")]);
         let s = nt(&g, "S");
-        let suffix = start_suffix(&g);
+        let suffix = start_suffix();
         let mut cache = SllCache::new();
         assert_eq!(
             adaptive_predict(
@@ -614,7 +608,7 @@ mod tests {
         let an = GrammarAnalysis::compute(&g);
         let mut tab = g.symbols().clone();
         let word = tokens(&mut tab, &[("a", "a")]);
-        let suffix = start_suffix(&g);
+        let suffix = start_suffix();
         let mut cache = SllCache::new();
         let p = adaptive_predict(
             &g,
@@ -641,7 +635,7 @@ mod tests {
         gb.rule("S", &["a", "b"]);
         let g = gb.start("S").build().unwrap();
         let an = GrammarAnalysis::compute(&g);
-        let suffix = start_suffix(&g);
+        let suffix = start_suffix();
         let mut cache = SllCache::new();
         // Even with empty input (which cannot parse), prediction commits
         // to the sole alternative; the machine will reject at consume.
@@ -673,7 +667,7 @@ mod tests {
         let an = GrammarAnalysis::compute(&g);
         let mut tab = g.symbols().clone();
         let word = tokens(&mut tab, &[("a", "a"), ("y", "y")]);
-        let suffix = start_suffix(&g);
+        let suffix = start_suffix();
         let mut cache = SllCache::new();
         let p = adaptive_predict(
             &g,
@@ -731,21 +725,12 @@ mod tests {
         let c2 = nt(&g, "C2");
         let c2_alt = g.alternatives(c2)[0];
         let suffix = vec![
+            SuffixFrame::bottom().advanced(),
             SuffixFrame {
-                caller: None,
-                rhs: Arc::from([costar_grammar::Symbol::Nt(g.start())]),
-                dot: 1,
-            },
-            SuffixFrame {
-                caller: Some(g.start()),
-                rhs: g.rhs_arc(s_alt2),
+                prod: Some(s_alt2),
                 dot: 2, // past q and C2
             },
-            SuffixFrame {
-                caller: Some(c2),
-                rhs: g.rhs_arc(c2_alt),
-                dot: 0, // at X
-            },
+            SuffixFrame::new(c2_alt), // at X
         ];
         let mut cache = SllCache::new();
         // SLL alone conflicts and (wrongly) prefers X -> a a.
@@ -778,6 +763,33 @@ mod tests {
             panic!("expected LL failover to produce Unique, got {p:?}")
         };
         assert_eq!(g.render_production(alt), "X -> a");
+    }
+
+    #[test]
+    fn canonical_sll_state_order_depends_only_on_the_grammar() {
+        // Two separately compiled copies of the DOT grammar share no
+        // allocation, so any address in a frame's identity would make
+        // their interned start states differ.
+        let start_configs = || {
+            let lang = costar_langs::dot::language();
+            let (g, an) = (lang.grammar(), lang.analysis());
+            let stmt = nt(g, "stmt");
+            let mut cache = SllCache::new();
+            let _ = sll_predict(
+                g,
+                &an,
+                stmt,
+                &[],
+                &mut cache,
+                &mut Meter::unlimited(),
+                &mut NullObserver,
+            );
+            let sid = cache.start_state(stmt).unwrap();
+            cache.state(sid).configs.to_vec()
+        };
+        let (first, second) = (start_configs(), start_configs());
+        assert!(first.len() > 1, "stmt's start state holds several configs");
+        assert_eq!(first, second);
     }
 
     #[derive(Default)]
@@ -863,7 +875,7 @@ mod tests {
         let an = GrammarAnalysis::compute(&g);
         let mut tab = g.symbols().clone();
         let word = tokens(&mut tab, &[("i", "i"), ("x", "x")]);
-        let suffix = start_suffix(&g);
+        let suffix = start_suffix();
         let mut cache = SllCache::new();
         let p = adaptive_predict(
             &g,

@@ -12,55 +12,36 @@
 //! stored once. The paper notes (§3.5) that CoStar forgoes ANTLR's
 //! graph-structured stack; a purely functional implementation naturally
 //! gets this tail sharing instead, and we reproduce exactly that.
+//!
+//! A stack's frames are the machine's own [`SuffixFrame`]s: `Copy`
+//! `(production, dot)` locations whose symbols are read through the
+//! grammar. Pushing, advancing and returning therefore never touch a
+//! refcount on the grammar that concurrent parses share (the cons cells'
+//! own `Arc`s are private to one prediction cache), and the canonical
+//! order of interned DFA states depends only on production indices and
+//! dots.
 
+use crate::budget::{AbortReason, Meter, DEADLINE_CHECK_INTERVAL};
 use crate::error::ParseError;
 use crate::observe::{Event, ParseObserver};
+use crate::state::SuffixFrame;
 use costar_grammar::analysis::GrammarAnalysis;
-use costar_grammar::{Grammar, NonTerminal, NtSet, ProdId, Symbol, Terminal};
+use costar_grammar::{Grammar, NtSet, ProdId, Symbol, Terminal};
 use std::cmp::Ordering;
 use std::collections::HashSet;
 use std::hash::{Hash, Hasher};
 use std::sync::Arc;
 
-/// One frame of a simulated suffix stack.
-#[derive(Debug, Clone)]
-pub(crate) struct SimFrame {
-    /// Left-hand side of the production this frame instantiates: the
-    /// nonterminal a simulated return reduces. `None` only for the
-    /// machine's bottom frame (LL mode).
-    pub lhs: Option<NonTerminal>,
-    /// The production right-hand side (shared with the grammar).
-    pub rhs: Arc<[Symbol]>,
-    /// Dot position: `rhs[dot..]` is unprocessed.
-    pub dot: usize,
+/// A frame's identity as hashed into [`SimStack`] nodes: its production
+/// index (`u32::MAX` for the machine's bottom frame) and dot.
+fn frame_key(frame: SuffixFrame) -> (u32, usize) {
+    let prod = frame.prod.map_or(u32::MAX, |p| p.index() as u32);
+    (prod, frame.dot)
 }
-
-impl SimFrame {
-    fn key(&self) -> (u32, usize, usize) {
-        let lhs = self.lhs.map_or(u32::MAX, |x| x.index() as u32);
-        (
-            lhs,
-            Arc::as_ptr(&self.rhs) as *const Symbol as usize,
-            self.dot,
-        )
-    }
-
-    /// The symbol at the dot, if any.
-    pub fn head(&self) -> Option<Symbol> {
-        self.rhs.get(self.dot).copied()
-    }
-}
-
-impl PartialEq for SimFrame {
-    fn eq(&self, other: &Self) -> bool {
-        self.key() == other.key()
-    }
-}
-impl Eq for SimFrame {}
 
 #[derive(Debug)]
 struct StackNode {
-    frame: SimFrame,
+    frame: SuffixFrame,
     tail: SimStack,
     hash: u64,
     depth: usize,
@@ -88,11 +69,11 @@ impl SimStack {
     }
 
     /// Pushes a frame, sharing this stack as the tail.
-    pub fn push(&self, frame: SimFrame) -> SimStack {
+    pub fn push(&self, frame: SuffixFrame) -> SimStack {
         let tail_hash = self.0.as_ref().map_or(0xcbf2_9ce4_8422_2325, |n| n.hash);
-        let (l, r, d) = frame.key();
+        let (p, d) = frame_key(frame);
         let mut h = tail_hash;
-        for v in [l as u64, r as u64, d as u64] {
+        for v in [p as u64, d as u64] {
             h ^= v;
             h = h.wrapping_mul(0x1000_0000_01b3);
         }
@@ -105,8 +86,8 @@ impl SimStack {
     }
 
     /// The top frame, if any.
-    pub fn top(&self) -> Option<&SimFrame> {
-        self.0.as_ref().map(|n| &n.frame)
+    pub fn top(&self) -> Option<SuffixFrame> {
+        self.0.as_ref().map(|n| n.frame)
     }
 
     /// The stack below the top frame.
@@ -131,16 +112,16 @@ impl SimStack {
     /// # Panics
     ///
     /// Panics if the stack is empty.
-    pub fn replace_top(&self, frame: SimFrame) -> SimStack {
+    pub fn replace_top(&self, frame: SuffixFrame) -> SimStack {
         self.pop().push(frame)
     }
 
-    fn iter_nodes(&self) -> impl Iterator<Item = &SimFrame> {
+    fn iter_nodes(&self) -> impl Iterator<Item = SuffixFrame> + '_ {
         let mut cur = self.0.as_deref();
         std::iter::from_fn(move || {
             let node = cur?;
             cur = node.tail.0.as_deref();
-            Some(&node.frame)
+            Some(node.frame)
         })
     }
 }
@@ -180,13 +161,12 @@ impl PartialOrd for SimStack {
 
 impl Ord for SimStack {
     /// A total order used only to canonicalize config sets before interning
-    /// them as DFA states; it is deterministic within a process run.
+    /// them as DFA states. Frames compare by production index and dot, so
+    /// the order depends only on the grammar.
     fn cmp(&self, other: &Self) -> Ordering {
-        self.depth().cmp(&other.depth()).then_with(|| {
-            self.iter_nodes()
-                .map(SimFrame::key)
-                .cmp(other.iter_nodes().map(SimFrame::key))
-        })
+        self.depth()
+            .cmp(&other.depth())
+            .then_with(|| self.iter_nodes().cmp(other.iter_nodes()))
     }
 }
 
@@ -248,6 +228,15 @@ pub(crate) enum SimMode {
     Sll,
 }
 
+/// Why a [`closure`] stopped short of its fixed point.
+#[derive(Debug)]
+pub(crate) enum ClosureStop {
+    /// Left recursion, or a corrupt configuration.
+    Error(ParseError),
+    /// The budget's deadline expired mid-closure.
+    Abort(AbortReason),
+}
+
 /// Computes the closure of a set of configurations: performs every push
 /// and return possible without consuming input, until each surviving
 /// subparser is *stable* — its dot sits before a terminal, or it can only
@@ -258,14 +247,21 @@ pub(crate) enum SimMode {
 /// path from the nonterminal to itself, i.e. left recursion, and aborts
 /// prediction with `LeftRecursive` (paper §4.1/§5.4 apply the same scheme
 /// inside prediction as in the main machine).
+///
+/// Closure work charges no fuel, but it does watch the clock: every
+/// [`DEADLINE_CHECK_INTERVAL`] worklist items it reads the meter's
+/// deadline, so one runaway prediction still ends in a typed
+/// [`ClosureStop::Abort`]. The read leaves the meter untouched, so a
+/// parse that does not abort counts exactly what it counted before.
 pub(crate) fn closure<O: ParseObserver>(
     g: &Grammar,
     analysis: &GrammarAnalysis,
     mode: SimMode,
     configs: Vec<Config>,
-    num_nts: usize,
+    meter: &Meter,
     obs: &mut O,
-) -> Result<Vec<Config>, ParseError> {
+) -> Result<Vec<Config>, ClosureStop> {
+    let num_nts = g.num_nonterminals();
     let mut out: Vec<Config> = Vec::new();
     let mut emitted: HashSet<Config> = HashSet::new();
     let mut explored: HashSet<Config> = HashSet::new();
@@ -286,8 +282,17 @@ pub(crate) fn closure<O: ParseObserver>(
         }
     }
 
+    let mut until_clock_check = DEADLINE_CHECK_INTERVAL;
     while let Some((alt, stack, mut visited)) = work.pop() {
         obs.on_event(Event::ClosureStep);
+        until_clock_check -= 1;
+        if until_clock_check == 0 {
+            until_clock_check = DEADLINE_CHECK_INTERVAL;
+            if let Err(reason) = meter.check_deadline() {
+                obs.on_event(Event::Abort { reason });
+                return Err(ClosureStop::Abort(reason));
+            }
+        }
         // Process each distinct (alternative, stack) configuration once:
         // converging derivation paths would otherwise re-explore shared
         // continuations exponentially often.
@@ -303,7 +308,7 @@ pub(crate) fn closure<O: ParseObserver>(
             debug_assert!(false, "closure saw an empty stack");
             continue;
         };
-        match top.head() {
+        match top.head(g) {
             Some(Symbol::T(_)) => {
                 // Stable: consuming input is the only way forward.
                 emit(
@@ -317,30 +322,21 @@ pub(crate) fn closure<O: ParseObserver>(
             }
             Some(Symbol::Nt(y)) => {
                 if visited.contains(y) {
-                    return Err(ParseError::LeftRecursive(y));
+                    return Err(ClosureStop::Error(ParseError::LeftRecursive(y)));
                 }
                 visited.insert(y);
                 // Mirror the machine's push semantics: the caller's dot
                 // passes the nonterminal at push time, so a simulated
                 // return is a plain pop.
-                let advanced = SimFrame {
-                    lhs: top.lhs,
-                    rhs: Arc::clone(&top.rhs),
-                    dot: top.dot + 1,
-                };
-                let base = stack.replace_top(advanced);
+                let base = stack.replace_top(top.advanced());
                 for &q in g.alternatives(y) {
-                    let pushed = base.push(SimFrame {
-                        lhs: Some(y),
-                        rhs: g.rhs_arc(q),
-                        dot: 0,
-                    });
+                    let pushed = base.push(SuffixFrame::new(q));
                     work.push((alt, pushed, visited.clone()));
                 }
             }
             None => {
                 // Exhausted frame: simulated return.
-                let finished_lhs = top.lhs;
+                let finished_lhs = top.caller(g);
                 let tail = stack.pop();
                 if let Some(x) = finished_lhs {
                     visited.remove(x);
@@ -367,15 +363,14 @@ pub(crate) fn closure<O: ParseObserver>(
                             // Return through the statically computed stable
                             // frames of the finished nonterminal (§3.5).
                             let Some(x) = finished_lhs else {
-                                return Err(ParseError::invalid_state(
+                                return Err(ClosureStop::Error(ParseError::invalid_state(
                                     "SLL simulation frame has no production label",
-                                ));
+                                )));
                             };
                             let dests = analysis.stable_frames.dests(x);
                             for pos in &dests.positions {
-                                let frame = SimFrame {
-                                    lhs: Some(g.production(pos.production).lhs()),
-                                    rhs: g.rhs_arc(pos.production),
+                                let frame = SuffixFrame {
+                                    prod: Some(pos.production),
                                     dot: pos.dot as usize,
                                 };
                                 // Stable by construction: the dot precedes
@@ -417,7 +412,11 @@ pub(crate) fn closure<O: ParseObserver>(
 /// Only stable configurations (produced by [`closure`]) are valid inputs;
 /// a config with an empty simulated stack indicates internal corruption
 /// and is reported as a typed `InvalidState` rather than a panic.
-pub(crate) fn move_configs(configs: &[Config], t: Terminal) -> Result<Vec<Config>, ParseError> {
+pub(crate) fn move_configs(
+    g: &Grammar,
+    configs: &[Config],
+    t: Terminal,
+) -> Result<Vec<Config>, ParseError> {
     let mut out = Vec::new();
     for c in configs {
         if let SpState::Stack(stack) = &c.state {
@@ -426,15 +425,10 @@ pub(crate) fn move_configs(configs: &[Config], t: Terminal) -> Result<Vec<Config
                     "unstable configuration (empty simulated stack) in move step",
                 ));
             };
-            if top.head() == Some(Symbol::T(t)) {
-                let advanced = SimFrame {
-                    lhs: top.lhs,
-                    rhs: Arc::clone(&top.rhs),
-                    dot: top.dot + 1,
-                };
+            if top.head(g) == Some(Symbol::T(t)) {
                 out.push(Config {
                     alt: c.alt,
-                    state: SpState::Stack(stack.replace_top(advanced)),
+                    state: SpState::Stack(stack.replace_top(top.advanced())),
                 });
             }
         }
@@ -454,8 +448,10 @@ pub(crate) fn distinct_alts(configs: &[Config]) -> Vec<ProdId> {
 #[allow(clippy::disallowed_methods, clippy::disallowed_macros)]
 mod tests {
     use super::*;
+    use crate::budget::Meter;
     use crate::observe::NullObserver;
     use costar_grammar::GrammarBuilder;
+    use std::time::Duration;
 
     fn setup() -> (Grammar, GrammarAnalysis) {
         let mut gb = GrammarBuilder::new();
@@ -474,11 +470,7 @@ mod tests {
             .iter()
             .map(|&q| Config {
                 alt: q,
-                state: SpState::Stack(base.push(SimFrame {
-                    lhs: Some(x),
-                    rhs: g.rhs_arc(q),
-                    dot: 0,
-                })),
+                state: SpState::Stack(base.push(SuffixFrame::new(q))),
             })
             .collect()
     }
@@ -487,9 +479,8 @@ mod tests {
     fn persistent_stack_sharing_and_equality() {
         let (g, _) = setup();
         let (pid, _) = g.iter().next().unwrap();
-        let f = |dot| SimFrame {
-            lhs: None,
-            rhs: g.rhs_arc(pid),
+        let f = |dot| SuffixFrame {
+            prod: Some(pid),
             dot,
         };
         let base = SimStack::empty();
@@ -513,7 +504,7 @@ mod tests {
             &an,
             SimMode::Ll,
             configs,
-            g.num_nonterminals(),
+            &Meter::unlimited(),
             &mut NullObserver,
         )
         .unwrap();
@@ -523,7 +514,7 @@ mod tests {
             let SpState::Stack(s) = &c.state else {
                 panic!("no EOF-accepting configs expected")
             };
-            assert!(matches!(s.top().unwrap().head(), Some(Symbol::T(_))));
+            assert!(matches!(s.top().unwrap().head(&g), Some(Symbol::T(_))));
         }
     }
 
@@ -540,11 +531,14 @@ mod tests {
             &an,
             SimMode::Ll,
             configs,
-            g.num_nonterminals(),
+            &Meter::unlimited(),
             &mut NullObserver,
         )
         .unwrap_err();
-        assert!(matches!(err, ParseError::LeftRecursive(_)));
+        assert!(matches!(
+            err,
+            ClosureStop::Error(ParseError::LeftRecursive(_))
+        ));
     }
 
     #[test]
@@ -563,7 +557,7 @@ mod tests {
             &an,
             SimMode::Ll,
             configs,
-            g.num_nonterminals(),
+            &Meter::unlimited(),
             &mut NullObserver,
         )
         .unwrap();
@@ -579,12 +573,12 @@ mod tests {
             &an,
             SimMode::Ll,
             configs,
-            g.num_nonterminals(),
+            &Meter::unlimited(),
             &mut NullObserver,
         )
         .unwrap();
         let b = g.symbols().lookup_terminal("b").unwrap();
-        let moved = move_configs(&stable, b).unwrap();
+        let moved = move_configs(&g, &stable, b).unwrap();
         // Only the A -> b expansions survive (one per S alternative).
         assert_eq!(moved.len(), 2);
         assert_eq!(distinct_alts(&moved).len(), 2);
@@ -602,18 +596,18 @@ mod tests {
             &an,
             SimMode::Sll,
             configs,
-            g.num_nonterminals(),
+            &Meter::unlimited(),
             &mut NullObserver,
         )
         .unwrap();
         let b = g.symbols().lookup_terminal("b").unwrap();
-        let moved = move_configs(&stable, b).unwrap();
+        let moved = move_configs(&g, &stable, b).unwrap();
         let after = closure(
             &g,
             &an,
             SimMode::Sll,
             moved,
-            g.num_nonterminals(),
+            &Meter::unlimited(),
             &mut NullObserver,
         )
         .unwrap();
@@ -637,23 +631,55 @@ mod tests {
             &an,
             SimMode::Ll,
             configs,
-            g.num_nonterminals(),
+            &Meter::unlimited(),
             &mut NullObserver,
         )
         .unwrap();
         let a = g.symbols().lookup_terminal("a").unwrap();
-        let moved = move_configs(&stable, a).unwrap();
+        let moved = move_configs(&g, &stable, a).unwrap();
         let after = closure(
             &g,
             &an,
             SimMode::Ll,
             moved,
-            g.num_nonterminals(),
+            &Meter::unlimited(),
             &mut NullObserver,
         )
         .unwrap();
         assert_eq!(after.len(), 1);
         assert!(matches!(after[0].state, SpState::AcceptEof));
+    }
+
+    #[test]
+    fn closure_reads_the_deadline_without_charging() {
+        // One nonterminal with more alternatives than the clock-check
+        // interval: its closure alone crosses a check.
+        let mut gb = GrammarBuilder::new();
+        let names: Vec<String> = (0..=DEADLINE_CHECK_INTERVAL)
+            .map(|i| format!("T{i}"))
+            .collect();
+        for name in &names {
+            gb.rule("S", &[name.as_str()]);
+        }
+        let g = gb.start("S").build().unwrap();
+        let an = GrammarAnalysis::compute(&g);
+        let run = |meter: &Meter| {
+            let configs = initial_configs(&g, "S", &SimStack::empty());
+            closure(&g, &an, SimMode::Ll, configs, meter, &mut NullObserver)
+        };
+        let expired = Meter::new(&crate::Budget::unlimited().with_deadline(Duration::ZERO));
+        let Err(ClosureStop::Abort(AbortReason::DeadlineExpired { budget_ms: 0 })) = run(&expired)
+        else {
+            panic!("an expired deadline must stop the closure");
+        };
+        assert_eq!(expired.steps_taken(), 0, "closure charges no fuel");
+        let generous =
+            Meter::new(&crate::Budget::unlimited().with_deadline(Duration::from_secs(3600)));
+        assert_eq!(run(&generous).unwrap().len(), names.len());
+        // A closure shorter than the interval never reads the clock.
+        let (g2, an2) = setup();
+        let configs = initial_configs(&g2, "S", &SimStack::empty());
+        assert!(closure(&g2, &an2, SimMode::Ll, configs, &expired, &mut NullObserver).is_ok());
     }
 
     #[test]
@@ -665,7 +691,7 @@ mod tests {
             &an,
             SimMode::Ll,
             configs,
-            g.num_nonterminals(),
+            &Meter::unlimited(),
             &mut NullObserver,
         )
         .unwrap();

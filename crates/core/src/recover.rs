@@ -50,9 +50,8 @@ use crate::budget::AbortReason;
 use crate::error::RejectReason;
 use crate::machine::{Machine, ParseOutcome};
 use crate::observe::{Event, ParseObserver};
-use crate::state::SuffixFrame;
 use costar_grammar::analysis::GrammarAnalysis;
-use costar_grammar::{ErrorNode, NonTerminal, Span, Symbol, Terminal, Token, Tree};
+use costar_grammar::{ErrorNode, Grammar, NonTerminal, Span, Symbol, Terminal, Token, Tree};
 use std::fmt;
 
 /// One recovered syntax error: where it happened, what the parser wanted,
@@ -192,19 +191,19 @@ pub(crate) fn recover<O: ParseObserver>(
 /// one start-symbol node so the machine's accept step can fire.
 pub(crate) fn normalize_final_forest(machine: &mut Machine<'_>) {
     let input_len = machine.tokens().len();
-    let start = machine.grammar().start();
+    let g = machine.grammar();
     let st = machine.state_mut();
     if st.cursor < input_len || st.suffix.len() != 1 {
         return;
     }
-    let exhausted = st.suffix.first().is_some_and(SuffixFrame::is_exhausted);
+    let exhausted = st.suffix.first().is_some_and(|f| f.is_exhausted(g));
     if !exhausted {
         return;
     }
     if let Some(bottom) = st.prefix.first_mut() {
         if bottom.trees.len() > 1 {
             let forest = std::mem::take(&mut bottom.trees);
-            bottom.trees.push(Tree::Node(start, forest));
+            bottom.trees.push(Tree::Node(g.start(), forest));
         }
     }
 }
@@ -287,8 +286,9 @@ fn find_plan(
     // Candidate filter: FIRST of every unprocessed symbol, plus the sync
     // set (FIRST ∪ FOLLOW) of every open nonterminal.
     let mut candidates = costar_grammar::TermSet::with_capacity(0);
+    let g = machine.grammar();
     for frame in &st.suffix {
-        for &sym in frame.unprocessed() {
+        for &sym in frame.unprocessed(g) {
             match sym {
                 Symbol::T(a) => {
                     candidates.insert(a);
@@ -298,7 +298,7 @@ fn find_plan(
                 }
             }
         }
-        if let Some(x) = frame.caller {
+        if let Some(x) = frame.caller(g) {
             candidates.union_with(analysis.sync.sync(x));
         }
     }
@@ -320,8 +320,9 @@ fn find_plan(
         // Innermost frame first: prefer finishing the current production.
         for i in (0..st.suffix.len()).rev() {
             let frame = st.suffix.get(i)?;
-            for dot in frame.dot..frame.rhs.len() {
-                let accepts = match frame.rhs.get(dot) {
+            let rhs = frame.rhs(g);
+            for dot in frame.dot..rhs.len() {
+                let accepts = match rhs.get(dot) {
                     Some(Symbol::T(a)) => *a == term,
                     Some(Symbol::Nt(x)) => {
                         // Skip the decision that just failed at this exact
@@ -332,7 +333,7 @@ fn find_plan(
                         // the machine's dynamic left-recursion detector.
                         let stuck_here = k == 0
                             && ((i == top && dot == frame.dot && Some(*x) == stuck_nt)
-                                || open_after_pops(st, i, *x));
+                                || open_after_pops(g, st, i, *x));
                         !stuck_here && analysis.first.first(*x).contains(term)
                     }
                     None => false,
@@ -354,13 +355,18 @@ fn find_plan(
 /// plan targeting frame `target` pops every frame above it? The pops
 /// remove the popped frames' callers from `visited`, so `x` stays open
 /// only if it is visited now and is not one of those callers.
-fn open_after_pops(st: &crate::state::MachineState, target: usize, x: NonTerminal) -> bool {
+fn open_after_pops(
+    g: &Grammar,
+    st: &crate::state::MachineState,
+    target: usize,
+    x: NonTerminal,
+) -> bool {
     st.visited.contains(x)
         && !st
             .suffix
             .iter()
             .skip(target.saturating_add(1))
-            .any(|f| f.caller == Some(x))
+            .any(|f| f.caller(g) == Some(x))
 }
 
 /// Applies a [`Plan`]: skips input, pops frames (preserving their partial
@@ -376,13 +382,14 @@ fn execute_plan<O: ParseObserver>(
     let mut skipped_tokens = Vec::new();
     let end = machine.state().cursor.saturating_add(plan.skip);
     skip_tokens(machine, tokens, obs, end, &mut skipped_tokens);
+    let g = machine.grammar();
     let st = machine.state_mut();
     let mut popped = 0usize;
     while st.suffix.len() > plan.target_frame.saturating_add(1) {
         let (Some(done), Some(partial)) = (st.suffix.pop(), st.prefix.pop()) else {
             break;
         };
-        if let (Some(x), Some(below)) = (done.caller, st.prefix.last_mut()) {
+        if let (Some(x), Some(below)) = (done.caller(g), st.prefix.last_mut()) {
             // Preserve the abandoned frame's partial derivation as an
             // (incomplete) node — its consumed tokens stay in the tree.
             below.trees.push(Tree::Node(x, partial.trees));
@@ -461,6 +468,7 @@ fn close_all_frames(
     skipped_tokens: Vec<Token>,
     reason: &RejectReason,
 ) -> usize {
+    let g = machine.grammar();
     let st = machine.state_mut();
     let node = error_node(reason, skipped_tokens);
     if let Some(frame) = st.prefix.last_mut() {
@@ -471,14 +479,14 @@ fn close_all_frames(
         let (Some(done), Some(partial)) = (st.suffix.pop(), st.prefix.pop()) else {
             break;
         };
-        if let (Some(x), Some(below)) = (done.caller, st.prefix.last_mut()) {
+        if let (Some(x), Some(below)) = (done.caller(g), st.prefix.last_mut()) {
             below.trees.push(Tree::Node(x, partial.trees));
             st.visited.remove(x);
         }
         popped += 1;
     }
     if let Some(bottom) = st.suffix.first_mut() {
-        bottom.dot = bottom.rhs.len();
+        bottom.dot = bottom.rhs(g).len();
     }
     popped
 }

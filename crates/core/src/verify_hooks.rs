@@ -16,8 +16,7 @@
 use crate::bignat::BigNat;
 use crate::measure::Measure;
 use crate::state::SuffixFrame;
-use costar_grammar::Symbol;
-use std::sync::Arc;
+use costar_grammar::{Grammar, ProdId};
 
 /// An arbitrary [`BigNat`] with at most two 64-bit limbs — enough to
 /// exercise carry propagation without exploding the state space.
@@ -45,14 +44,10 @@ pub fn any_measure(max_tokens: usize, max_height: usize) -> Measure {
     }
 }
 
-/// An arbitrary suffix frame over the given right-hand side: the dot is
-/// nondeterministic but in range, the caller flag nondeterministic.
-pub fn any_frame(rhs: Arc<[Symbol]>) -> SuffixFrame {
+/// An arbitrary suffix frame naming `prod` (`None`: the bottom frame) of
+/// `g`: the dot is nondeterministic but in range.
+pub fn any_frame(g: &Grammar, prod: Option<ProdId>) -> SuffixFrame {
     let dot: usize = kani::any();
-    kani::assume(dot <= rhs.len());
-    SuffixFrame {
-        caller: None,
-        rhs,
-        dot,
-    }
+    kani::assume(dot <= g.frame_rhs(prod).len());
+    SuffixFrame { prod, dot }
 }

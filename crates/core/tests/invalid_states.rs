@@ -13,8 +13,7 @@
 use costar::state::{MachineState, PrefixFrame, SuffixFrame};
 use costar::{Machine, ParseError, SllCache, StepResult};
 use costar_grammar::analysis::GrammarAnalysis;
-use costar_grammar::{Grammar, GrammarBuilder, Symbol, Token};
-use std::sync::Arc;
+use costar_grammar::{Grammar, GrammarBuilder, Token};
 
 fn fig2() -> (Grammar, GrammarAnalysis) {
     let mut gb = GrammarBuilder::new();
@@ -58,13 +57,9 @@ fn mismatched_stack_heights_detected() {
 fn return_without_caller_detected() {
     let (g, an) = fig2();
     let result = step_corrupted(&g, &an, &[], |st| {
-        // An exhausted upper frame with no caller label.
+        // An exhausted upper frame naming no production.
         st.suffix[0].dot = 1;
-        st.suffix.push(SuffixFrame {
-            caller: None,
-            rhs: Arc::from([] as [Symbol; 0]),
-            dot: 0,
-        });
+        st.suffix.push(SuffixFrame::bottom().advanced());
         st.prefix.push(PrefixFrame::default());
     });
     let StepResult::Error(ParseError::InvalidState { reason }) = result else {

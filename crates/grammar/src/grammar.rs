@@ -6,7 +6,6 @@
 
 use crate::symbol::{NonTerminal, Symbol, SymbolTable, Terminal};
 use std::fmt;
-use std::sync::Arc;
 
 /// Identifier of a production within its [`Grammar`] (dense index).
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
@@ -30,8 +29,7 @@ impl ProdId {
 #[derive(Debug, Clone)]
 pub struct Production {
     lhs: NonTerminal,
-    /// Shared right-hand side; suffix-stack frames alias it cheaply.
-    rhs: Arc<[Symbol]>,
+    rhs: Box<[Symbol]>,
 }
 
 impl Production {
@@ -43,11 +41,6 @@ impl Production {
     /// The right-hand side sentential form `γ`.
     pub fn rhs(&self) -> &[Symbol] {
         &self.rhs
-    }
-
-    /// A cheap shared handle on the right-hand side.
-    pub fn rhs_arc(&self) -> Arc<[Symbol]> {
-        Arc::clone(&self.rhs)
     }
 }
 
@@ -107,6 +100,8 @@ impl std::error::Error for GrammarError {}
 pub struct Grammar {
     symbols: SymbolTable,
     start: NonTerminal,
+    /// `[S]`: what the bottom parse-stack frame processes.
+    start_form: [Symbol; 1],
     productions: Vec<Production>,
     /// Productions grouped by left-hand side, indexed by `NonTerminal::index`.
     by_lhs: Vec<Vec<ProdId>>,
@@ -140,9 +135,23 @@ impl Grammar {
         &self.by_lhs[x.index()]
     }
 
-    /// Right-hand side of a production as a cheap shared slice.
-    pub fn rhs_arc(&self, id: ProdId) -> Arc<[Symbol]> {
-        self.productions[id.index()].rhs_arc()
+    /// The sentential form a parse-stack frame naming `prod` processes:
+    /// that production's right-hand side, or the one-symbol start form
+    /// `[S]` for the bottom frame (`None`). Stack frames are `(prod, dot)`
+    /// pairs that resolve their symbols here, so they stay `Copy` and
+    /// never touch a shared refcount.
+    pub fn frame_rhs(&self, prod: Option<ProdId>) -> &[Symbol] {
+        match prod {
+            Some(p) => &self.productions[p.index()].rhs,
+            None => &self.start_form,
+        }
+    }
+
+    /// The nonterminal a parse-stack frame naming `prod` reduces when it
+    /// returns: the production's left-hand side, `None` for the bottom
+    /// frame.
+    pub fn frame_lhs(&self, prod: Option<ProdId>) -> Option<NonTerminal> {
+        prod.map(|p| self.productions[p.index()].lhs)
     }
 
     /// Number of productions (`|P|` in Fig. 8).
@@ -342,6 +351,7 @@ impl GrammarBuilder {
         Ok(Grammar {
             symbols: std::mem::take(&mut self.symbols),
             start,
+            start_form: [Symbol::Nt(start)],
             productions,
             by_lhs,
             max_rhs_len,
@@ -448,11 +458,14 @@ mod tests {
     }
 
     #[test]
-    fn rhs_arc_is_shared() {
+    fn frames_resolve_through_the_grammar() {
         let g = fig2_grammar();
-        let id = ProdId(0);
-        let a1 = g.rhs_arc(id);
-        let a2 = g.rhs_arc(id);
-        assert!(Arc::ptr_eq(&a1, &a2));
+        let s = g.symbols().lookup_nonterminal("S").unwrap();
+        let a = g.symbols().lookup_nonterminal("A").unwrap();
+        assert_eq!(g.frame_rhs(None), &[Symbol::Nt(s)]);
+        assert_eq!(g.frame_lhs(None), None);
+        let id = g.alternatives(a)[1];
+        assert_eq!(g.frame_rhs(Some(id)), g.production(id).rhs());
+        assert_eq!(g.frame_lhs(Some(id)), Some(a));
     }
 }

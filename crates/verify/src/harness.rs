@@ -217,7 +217,7 @@ pub fn h_stack_wf<N: Nondet>(nd: &mut N, max_word: usize) -> Result<StepKinds, H
 /// `H-VISITED` — §4.1/§5.4.2: every visited nonterminal is open on the
 /// suffix stack in every reachable state.
 pub fn h_visited<N: Nondet>(nd: &mut N, max_word: usize) -> Result<StepKinds, HarnessViolation> {
-    drive_with_checker(nd, "H-VISITED", |_, st, _| check_visited(st), max_word)
+    drive_with_checker(nd, "H-VISITED", |g, st, _| check_visited(g, st), max_word)
 }
 
 /// `H-PREFIX-DER` — Fig. 5 `UniqeDer_I`, derivation component: in every
@@ -337,29 +337,18 @@ pub fn h_measure_ord<N: Nondet>(nd: &mut N) -> Result<(), HarnessViolation> {
         let i = nd.choose(t.grammar.num_productions());
         t.grammar.iter().nth(i).expect("production index in range")
     };
-    let rhs_arc = t.grammar.rhs_arc(pid);
-    if !rhs_arc.is_empty() {
-        let dot = nd.choose(rhs_arc.len());
+    let g = &t.grammar;
+    let len = g.production(pid).rhs().len();
+    if len > 0 {
+        let dot = nd.choose(len);
         let fbase = 1 + nd.choose(8) as u64; // >= 1 so b^e > 0
         let fexp = nd.choose(5);
-        let before = frame_score(
-            &costar::state::SuffixFrame {
-                caller: None,
-                rhs: rhs_arc.clone(),
-                dot,
-            },
-            fbase,
-            fexp,
-        );
-        let after = frame_score(
-            &costar::state::SuffixFrame {
-                caller: None,
-                rhs: rhs_arc.clone(),
-                dot: dot + 1,
-            },
-            fbase,
-            fexp,
-        );
+        let frame = costar::state::SuffixFrame {
+            prod: Some(pid),
+            dot,
+        };
+        let before = frame_score(g, frame, fbase, fexp);
+        let after = frame_score(g, frame.advanced(), fbase, fexp);
         if after >= before {
             return Err(fail(
                 ID,
@@ -373,23 +362,20 @@ pub fn h_measure_ord<N: Nondet>(nd: &mut N) -> Result<(), HarnessViolation> {
     let height = 1 + nd.choose(3);
     let frames: Vec<costar::state::SuffixFrame> = (0..height)
         .map(|_| {
-            let i = nd.choose(t.grammar.num_productions());
-            let (pid, _) = t.grammar.iter().nth(i).expect("in range");
-            let rhs = t.grammar.rhs_arc(pid);
-            let dot = nd.choose(rhs.len() + 1);
+            let i = nd.choose(g.num_productions());
+            let (pid, p) = g.iter().nth(i).expect("in range");
             costar::state::SuffixFrame {
-                caller: None,
-                rhs,
-                dot,
+                prod: Some(pid),
+                dot: nd.choose(p.rhs().len() + 1),
             }
         })
         .collect();
     let sbase = 1 + nd.choose(8) as u64;
     let sexp = nd.choose(4);
-    let got = stack_score_prime(&frames, sbase, sexp);
+    let got = stack_score_prime(g, &frames, sbase, sexp);
     let mut want = BigNat::zero();
-    for (depth_from_top, frame) in frames.iter().rev().enumerate() {
-        want.add_assign(&frame_score(frame, sbase, sexp + depth_from_top));
+    for (depth_from_top, &frame) in frames.iter().rev().enumerate() {
+        want.add_assign(&frame_score(g, frame, sbase, sexp + depth_from_top));
     }
     if got != want {
         return Err(fail(ID, format!("stackScore' mismatch: {got} != {want}")));

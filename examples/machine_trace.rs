@@ -70,7 +70,7 @@ fn print_state(
         .rev()
         .map(|f| {
             let syms: Vec<&str> = f
-                .unprocessed()
+                .unprocessed(grammar)
                 .iter()
                 .map(|&s| symbols.symbol_name(s))
                 .collect();

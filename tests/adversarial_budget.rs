@@ -14,7 +14,7 @@ use costar::instrument::{run_instrumented, run_instrumented_with};
 use costar::{AbortReason, Budget, ParseOutcome, Parser};
 use costar_grammar::analysis::GrammarAnalysis;
 use costar_grammar::{tokens, Grammar, GrammarBuilder, Token};
-use std::time::Duration;
+use std::time::{Duration, Instant};
 
 fn word_of(g: &Grammar, names: &[&str]) -> Vec<Token> {
     let mut tab = g.symbols().clone();
@@ -173,4 +173,37 @@ fn zero_deadline_aborts_immediately_and_consistently() {
     // A generous deadline resolves the same input.
     parser.set_budget(Budget::unlimited().with_deadline(Duration::from_secs(600)));
     assert!(parser.parse(&w).is_accept());
+}
+
+#[test]
+fn deadline_fires_inside_a_nested_dot_prediction() {
+    // `digraph g { subgraph {`×14 … `}`: each nesting level opens another
+    // undecided `stmt` inside the lookahead of the one above, so one
+    // prediction's closure work roughly doubles per level (millions of
+    // worklist items at n = 14). Closure charges no fuel; only its own
+    // clock reads can stop it, and they must, with the typed abort.
+    let lang = costar_langs::dot::language();
+    let n = 14;
+    let src = format!(
+        "digraph g {{ {}{} }}",
+        "subgraph { ".repeat(n),
+        "}".repeat(n)
+    );
+    let word = lang.tokenize(&src).expect("nested subgraphs are valid DOT");
+    let mut parser = Parser::with_analysis(lang.grammar().clone(), lang.analysis());
+    parser.set_budget(Budget::unlimited().with_deadline(Duration::from_millis(50)));
+    let started = Instant::now();
+    let outcome = parser.parse(&word);
+    let elapsed = started.elapsed();
+    assert!(
+        matches!(
+            outcome,
+            ParseOutcome::Aborted(AbortReason::DeadlineExpired { budget_ms: 50 })
+        ),
+        "expected a deadline abort, got {outcome:?}"
+    );
+    assert!(
+        elapsed < Duration::from_secs(2),
+        "a 50 ms deadline took {elapsed:?} to fire"
+    );
 }
